@@ -123,7 +123,8 @@ inline void print_service_stats(
                "[serving] aggregate: %llu queries (%llu fresh, %llu stale, "
                "%llu refused), %llu sim queries (%llu maps), "
                "%llu/%llu reports accepted/rejected, "
-               "%llu routing-rejected, epoch lag %llu (max %llu)\n",
+               "%llu routing-rejected, epoch lag %llu (max %llu), "
+               "%llu snapshot bytes copied\n",
                static_cast<unsigned long long>(total.queries_served),
                static_cast<unsigned long long>(total.fresh_answers),
                static_cast<unsigned long long>(total.stale_answers),
@@ -134,7 +135,8 @@ inline void print_service_stats(
                static_cast<unsigned long long>(total.reports_rejected),
                static_cast<unsigned long long>(total.routing_rejected),
                static_cast<unsigned long long>(total.epoch_lag_last),
-               static_cast<unsigned long long>(total.epoch_lag_max));
+               static_cast<unsigned long long>(total.epoch_lag_max),
+               static_cast<unsigned long long>(total.snapshot_bytes_copied));
 }
 
 /// Frontend fault-handling banner (all zeros unless a plan was armed).

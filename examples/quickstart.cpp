@@ -33,9 +33,13 @@ int main() {
 
   // Probe the CDN every 10 minutes for 24 hours (sim time).
   std::printf("running 24h probing campaign...\n");
-  const std::size_t rounds = world.run_probing(
+  const std::size_t slots = world.run_probing(
       SimTime::epoch(), SimTime::epoch() + Hours(24), Minutes(10));
-  std::printf("  %zu probe rounds/node, %zu CDN queries total\n", rounds,
+  const eval::CampaignStats& campaign = world.campaign_stats();
+  std::printf("  %zu schedule slots, %.1f probes/node, %zu CDN queries total\n",
+              slots,
+              static_cast<double>(campaign.probes_issued) /
+                  static_cast<double>(campaign.participants),
               world.cdn_queries_served());
 
   // Collect ratio maps.

@@ -149,10 +149,15 @@ Clustering SmfClusterer::run(const SimilarityEngine& source,
   std::iota(order.begin(), order.end(), std::size_t{0});
   Rng rng{hash_combine({config.seed, stable_hash("smf")})};
   if (config.seeding == SmfConfig::Seeding::kStrongestFirst) {
+    // Strengths derive from the row entries, so fold them once up front
+    // instead of once per comparison.
+    std::vector<double> strength(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      strength[i] = source.strongest_mapping(i);
+    }
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
-                       return source.strongest_mapping(a) >
-                              source.strongest_mapping(b);
+                       return strength[a] > strength[b];
                      });
   } else {
     rng.shuffle(order);

@@ -112,8 +112,8 @@ void accumulate(const CorpusView& v, std::span<const RatioMap::Entry> entries,
     // per-pair sorted merge visits them — scores stay bit-identical.
     switch (v.kind) {
       case SimilarityKind::kCosine:
-        for (const Posting& p : list.items) {
-          if (p.map == kDeadPosting) continue;
+        for (const Posting& p : list.postings()) {
+          if (!v.current(p)) continue;
           const std::uint32_t m = p.map;
           if (s.mark[m] != s.epoch) {
             s.mark[m] = s.epoch;
@@ -124,8 +124,8 @@ void accumulate(const CorpusView& v, std::span<const RatioMap::Entry> entries,
         }
         break;
       case SimilarityKind::kJaccard:
-        for (const Posting& p : list.items) {
-          if (p.map == kDeadPosting) continue;
+        for (const Posting& p : list.postings()) {
+          if (!v.current(p)) continue;
           const std::uint32_t m = p.map;
           if (s.mark[m] != s.epoch) {
             s.mark[m] = s.epoch;
@@ -136,8 +136,8 @@ void accumulate(const CorpusView& v, std::span<const RatioMap::Entry> entries,
         }
         break;
       case SimilarityKind::kWeightedOverlap:
-        for (const Posting& p : list.items) {
-          if (p.map == kDeadPosting) continue;
+        for (const Posting& p : list.postings()) {
+          if (!v.current(p)) continue;
           const std::uint32_t m = p.map;
           if (s.mark[m] != s.epoch) {
             s.mark[m] = s.epoch;
@@ -240,8 +240,8 @@ void accumulate_tile(const CorpusView& v, std::span<const RowView> tile,
         case SimilarityKind::kCosine: {
           const auto acc_row = s.acc.row(e.q);
           auto& tq = s.touched_q[e.q];
-          for (const Posting& p : list.items) {
-            if (p.map == kDeadPosting) continue;
+          for (const Posting& p : list.postings()) {
+            if (!v.current(p)) continue;
             const std::uint32_t m = p.map;
             if (s.mark[m] != s.epoch) {
               s.mark[m] = s.epoch;
@@ -261,8 +261,8 @@ void accumulate_tile(const CorpusView& v, std::span<const RowView> tile,
         case SimilarityKind::kJaccard: {
           const auto inter_row = s.inter.row(e.q);
           auto& tq = s.touched_q[e.q];
-          for (const Posting& p : list.items) {
-            if (p.map == kDeadPosting) continue;
+          for (const Posting& p : list.postings()) {
+            if (!v.current(p)) continue;
             const std::uint32_t m = p.map;
             if (s.mark[m] != s.epoch) {
               s.mark[m] = s.epoch;
@@ -281,8 +281,8 @@ void accumulate_tile(const CorpusView& v, std::span<const RowView> tile,
         case SimilarityKind::kWeightedOverlap: {
           const auto acc_row = s.acc.row(e.q);
           auto& tq = s.touched_q[e.q];
-          for (const Posting& p : list.items) {
-            if (p.map == kDeadPosting) continue;
+          for (const Posting& p : list.postings()) {
+            if (!v.current(p)) continue;
             const std::uint32_t m = p.map;
             if (s.mark[m] != s.epoch) {
               s.mark[m] = s.epoch;

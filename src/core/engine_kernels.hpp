@@ -4,16 +4,19 @@
 // The mutable engine and its frozen snapshots answer queries through the
 // *same* compiled kernels, each presenting its storage as a borrowed
 // `CorpusView`. That is the whole bit-identity argument for the
-// concurrent read path (DESIGN.md §8): a snapshot is a verbatim copy of
-// the engine's CSR arrays and posting lists, and a query never sees
-// which of the two owners lent it the view — there is no second
-// implementation to drift.
+// concurrent read path (DESIGN.md §8): a snapshot reads the very entry
+// and posting bytes the engine wrote (shared, append-only) through its
+// own frozen row table and list views, and a query never sees which of
+// the two owners lent it the view — there is no second implementation
+// to drift.
 //
 // Everything in `engine_detail` is internal: layouts and kernel
 // signatures may change freely between PRs. User code queries through
 // `SimilarityEngine` / `EngineSnapshot`.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -32,7 +35,7 @@ class ThreadPool;
 namespace crp::core {
 
 /// Borrowed view of one corpus row: the CSR entry segment (sorted by
-/// replica id) plus its precomputed norm and strongest mapping. A view
+/// replica id) plus its precomputed norm. A view
 /// of engine A's row can be replayed into engine B (`add_row`) or used
 /// as a query (`scores`/`best_match`) with bit-identical results —
 /// nothing is renormalized, so not a single bit of the ratios or the
@@ -44,61 +47,111 @@ namespace crp::core {
 struct RowView {
   std::span<const RatioMap::Entry> entries;
   double norm = 0.0;
-  double strongest = 0.0;
 };
 
 namespace engine_detail {
 
-/// A CSR row: entries[begin .. begin + len). Updates point `begin` at
-/// a fresh segment and orphan the old one until compaction.
+/// A row's strongest mapping, max ratio (0 for an empty row) — the
+/// same fold RatioMap::strongest_mapping runs over the same entries,
+/// so it is derived on demand instead of stored per slot.
+[[nodiscard]] inline double strongest_of(
+    std::span<const RatioMap::Entry> entries) {
+  double best = 0.0;
+  for (const auto& [id, ratio] : entries) best = std::max(best, ratio);
+  return best;
+}
+
+/// A CSR row: its entry segment, `len` entries at `data` inside one
+/// chunk of the append-only entry arena. Updates point `data` at a
+/// fresh segment and orphan the old one until compaction; no entry byte
+/// is ever rewritten in place, which is what lets frozen snapshots share
+/// the chunks with the writer.
 struct Row {
-  std::size_t begin = 0;
+  const RatioMap::Entry* data = nullptr;
   std::uint32_t len = 0;
   bool live = false;
 };
 
 /// One posting: a corpus row containing the replica, with its ratio.
-/// `map == kDeadPosting` marks a tombstone.
+/// Postings are appended and never moved; the one later write is the
+/// tombstone, which stamps `dead_at` once, from kLive to the engine's
+/// current freeze generation. A view with horizon H reads a posting as
+/// dead iff dead_at <= H. A snapshot's horizon is the generation that
+/// was current when it was cut, and every stamp written afterwards
+/// carries a later generation, so a snapshot keeps reading the postings
+/// it froze as they were — while sharing their bytes with the writer.
+/// The stamp is a relaxed atomic because a reader of an older snapshot
+/// may load it while the writer stores it; both values it can observe
+/// mean "live" to that reader.
 struct Posting {
+  static constexpr std::uint32_t kLive = 0xffffffffu;
+
   std::uint32_t map = 0;
+  std::atomic<std::uint32_t> dead_at{kLive};
   double ratio = 0.0;
-};
-inline constexpr std::uint32_t kDeadPosting = 0xffffffffu;
 
+  Posting() = default;
+  Posting(std::uint32_t row, double r) : map(row), ratio(r) {}
+  // std::atomic is not copyable; a block that grows copies its postings.
+  Posting(const Posting& other) noexcept
+      : map(other.map),
+        dead_at(other.dead_at.load(std::memory_order_relaxed)),
+        ratio(other.ratio) {}
+  Posting& operator=(const Posting& other) noexcept {
+    map = other.map;
+    dead_at.store(other.dead_at.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+    ratio = other.ratio;
+    return *this;
+  }
+};
+
+/// One replica's posting list as the kernels see it: the prefix
+/// [0, size) of an append-only block (tombstoned postings included,
+/// skipped at query time), plus how many of them are live.
 struct PostingList {
-  std::vector<Posting> items;
-  std::uint32_t live = 0;  // non-tombstoned items
+  const Posting* items = nullptr;
+  std::uint32_t size = 0;
+  std::uint32_t live = 0;  // postings not tombstoned
+
+  [[nodiscard]] std::span<const Posting> postings() const {
+    return {items, size};
+  }
 };
 
-/// Borrowed, read-only view of a whole corpus — the CSR arrays, the
-/// inverted replica index and the liveness summary. Both owners build
-/// one in O(1): the mutable engine over its members (valid until the
-/// next mutation; the single-writer contract says no mutation runs
-/// concurrently with a query), the snapshot over its frozen shared
-/// arrays (valid while the snapshot is held).
+/// Borrowed, read-only view of a whole corpus — the row table, the
+/// inverted replica index, the tombstone horizon and the liveness
+/// summary.
+/// Both owners build one in O(1): the mutable engine over its members
+/// (valid until the next mutation; the single-writer contract says no
+/// mutation runs concurrently with a query), the snapshot over its
+/// frozen shared arrays (valid while the snapshot is held).
 struct CorpusView {
   SimilarityKind kind = SimilarityKind::kCosine;
   std::span<const Row> rows;
-  std::span<const RatioMap::Entry> entries;
   std::span<const double> norms;
-  std::span<const double> strongest;
   const std::unordered_map<ReplicaId, std::uint32_t>* replica_slot = nullptr;
   std::span<const PostingList> post;
+  /// Freeze generation this view reads tombstones up to (see Posting).
+  std::uint32_t horizon = 0;
   std::size_t live_rows = 0;
 
   [[nodiscard]] std::size_t size() const { return rows.size(); }
   [[nodiscard]] std::span<const RatioMap::Entry> row(std::size_t index) const {
-    return entries.subspan(rows[index].begin, rows[index].len);
+    return {rows[index].data, rows[index].len};
   }
   [[nodiscard]] RowView row_view(std::size_t index) const {
-    return RowView{row(index), norms[index], strongest[index]};
+    return RowView{row(index), norms[index]};
+  }
+  /// Whether posting `p` is live as of this view's horizon.
+  [[nodiscard]] bool current(const Posting& p) const {
+    return p.dead_at.load(std::memory_order_relaxed) > horizon;
   }
 };
 
-/// Wraps a RatioMap as a query. The strongest mapping is irrelevant to
-/// scoring, so it is not computed.
+/// Wraps a RatioMap as a query (or as a row to store).
 [[nodiscard]] inline RowView as_query(const RatioMap& map) {
-  return RowView{map.entries(), map.norm(), 0.0};
+  return RowView{map.entries(), map.norm()};
 }
 
 // --- scalar kernels ---

@@ -8,10 +8,10 @@
 // 0 *by construction* for all three metrics. The engine exploits that
 // sparsity structure:
 //
-//   * CSR corpus storage — all maps flattened into contiguous replica-id
-//     and ratio arrays with per-map (begin, length) rows, plus
-//     precomputed norms, entry counts and strongest mappings. One
-//     cache-friendly block replaces a thousand small vectors.
+//   * CSR corpus storage — all maps flattened into large chunks of
+//     (replica id, ratio) entries with per-map (pointer, length) rows,
+//     plus precomputed norms. A few cache-friendly blocks replace a
+//     thousand small vectors.
 //   * Inverted replica index — for each replica, the posting list of
 //     (map index, ratio) pairs that contain it. A query walks only the
 //     postings of its own replicas, so maps sharing no replica with the
@@ -23,11 +23,13 @@
 //
 // Incremental corpus maintenance (the PositionService's serving mode —
 // see DESIGN.md §6): `add`/`update`/`remove` mutate the corpus in place.
-// Updated and removed rows leave tombstones — dead segments in the entry
-// array and dead postings (map index `kDeadPosting`) in the posting
-// lists — which queries skip. Once tombstones outnumber live entries the
-// engine compacts in place, rewriting both stores without disturbing row
-// indices (removed rows keep their slot; `add` reuses freed slots).
+// Updated and removed rows leave tombstones — orphaned segments in the
+// entry arena and postings stamped dead in the posting lists — which
+// queries skip; entries are never written in place, and a posting only
+// once, by its tombstone stamp (see engine_detail::Posting).
+// Once tombstones outnumber live entries the engine compacts, rewriting
+// both stores into fresh storage without disturbing row indices
+// (removed rows keep their slot; `add` reuses freed slots).
 // Scores over a mutated engine are bit-identical to scores over a
 // freshly built engine of the live maps: per touched map, accumulation
 // still follows increasing replica-id order, and norms/sizes come from
@@ -41,8 +43,9 @@
 // before calling add/update/remove/compact.
 //
 // Concurrent serving (DESIGN.md §8): `freeze()` produces an immutable
-// `EngineSnapshot` sharing this engine's query kernels (and, across
-// consecutive freezes, any storage components no mutation dirtied).
+// `EngineSnapshot` sharing this engine's query kernels, its append-only
+// entry and posting bytes, and (across consecutive freezes) any small
+// component no mutation dirtied.
 // The engine itself stays single-writer: freeze() is a writer-side call,
 // and published snapshots are what reader threads query lock-free.
 #pragma once
@@ -82,6 +85,11 @@ class SimilarityEngine {
     /// update/remove. Compaction reclaims them without resetting this.
     std::uint64_t postings_tombstoned = 0;
     std::uint64_t compactions = 0;
+    /// Bytes freeze() copied into snapshots: the row table and the
+    /// small index arrays whose version moved. Entry and posting bytes
+    /// are shared, never copied, so an update-only churn window costs
+    /// O(slots + lists), and a clean refreeze costs 0.
+    std::uint64_t snapshot_bytes_copied = 0;
   };
 
   /// Dead-entry floor below which automatic compaction never triggers
@@ -95,6 +103,14 @@ class SimilarityEngine {
   /// outlive the engine). `kind` fixes the metric for all queries.
   explicit SimilarityEngine(std::span<const RatioMap> corpus,
                             SimilarityKind kind = SimilarityKind::kCosine);
+
+  // Move-only: the entry chunks and posting blocks are shared-ownership
+  // storage the engine appends into, so a copy would append into its
+  // original's blocks. (freeze() is the way to share a corpus.)
+  SimilarityEngine(const SimilarityEngine&) = delete;
+  SimilarityEngine& operator=(const SimilarityEngine&) = delete;
+  SimilarityEngine(SimilarityEngine&&) noexcept = default;
+  SimilarityEngine& operator=(SimilarityEngine&&) noexcept = default;
 
   /// Number of row slots, dead ones included — the length of dense score
   /// vectors. Equals the corpus size for a never-mutated engine.
@@ -114,12 +130,12 @@ class SimilarityEngine {
   /// Corpus map i's strongest mapping (max ratio; 0 for an empty or
   /// removed map).
   [[nodiscard]] double strongest_mapping(std::size_t index) const {
-    return strongest_[index];
+    return engine_detail::strongest_of(row(index));
   }
   /// Raw view of row `index` (empty for dead rows). Invalidated by any
   /// mutation of this engine.
   [[nodiscard]] RowView row_view(std::size_t index) const {
-    return RowView{row(index), norms_[index], strongest_[index]};
+    return RowView{row(index), norms_[index]};
   }
 
   // --- incremental corpus maintenance ---
@@ -129,8 +145,7 @@ class SimilarityEngine {
   /// by the high-water mark of live rows.
   std::size_t add(const RatioMap& map);
   /// Adds a preformed row (typically another engine's `row_view`)
-  /// verbatim: no renormalization, the stored norm/strongest are the
-  /// view's. Entries must be sorted by replica id with at most one entry
+  /// verbatim: no renormalization, the stored norm is the view's. Entries must be sorted by replica id with at most one entry
   /// per replica — true of every RowView. Same slot-reuse contract as
   /// `add`.
   std::size_t add_row(const RowView& row);
@@ -147,8 +162,8 @@ class SimilarityEngine {
   /// The slot survives — dense scores keep their positions — and scores
   /// against it are 0 from here on.
   void remove(std::size_t index);
-  /// Rewrites the entry array and posting lists without the tombstones,
-  /// preserving every row index. Called automatically once dead entries
+  /// Rewrites the live entries and postings into fresh chunks and
+  /// blocks (snapshots keep the old ones), preserving every row index. Called automatically once dead entries
   /// outnumber live ones (past `kCompactMinDeadEntries`); callable
   /// explicitly after bulk churn.
   void compact();
@@ -163,15 +178,15 @@ class SimilarityEngine {
   /// Returns an immutable snapshot of the live corpus, tagged with the
   /// caller's membership `epoch`. Queries against the snapshot are
   /// bit-identical to the same queries against this engine right now —
-  /// they run through the same kernels over verbatim copies of the CSR
-  /// arrays and posting lists. Storage components no mutation dirtied
-  /// since the previous freeze are *shared* with that snapshot instead
-  /// of copied (tracked per component: row metadata, the entry array,
-  /// the posting index), so freezes between mutations are O(1) and a
-  /// remove-only churn window never recopies the entry array. Writer-
-  /// side call: not safe concurrently with mutations, and the engine
-  /// retains the newest snapshot for sharing, so an idle engine keeps
-  /// at most one full copy alive.
+  /// they run through the same kernels over the same bytes. Nothing the
+  /// engine writes after the freeze is visible to the snapshot: entry
+  /// chunks and posting blocks are append-only, so the snapshot shares
+  /// them and sees only the prefix that existed when it was cut. A
+  /// freeze copies just the small components whose version moved (the
+  /// row table, the per-list views, handle lists, and the replica index
+  /// when a new replica appeared); a fully clean same-epoch freeze
+  /// returns the retained snapshot itself. Writer-side call: not safe
+  /// concurrently with mutations.
   [[nodiscard]] std::shared_ptr<const EngineSnapshot> freeze(
       std::uint64_t epoch);
 
@@ -310,63 +325,102 @@ class SimilarityEngine {
   /// The kernels' borrowed view of this engine's storage. Valid until
   /// the next mutation; never escapes a single query call.
   [[nodiscard]] engine_detail::CorpusView view() const {
-    return engine_detail::CorpusView{kind_,  rows_, entries_,      norms_,
-                                     strongest_, &replica_slot_, post_,
-                                     live_rows_};
+    return engine_detail::CorpusView{kind_, rows_, norms_, &replica_slot_,
+                                     post_, open_gen_, live_rows_};
   }
 
   [[nodiscard]] std::span<const RatioMap::Entry> row(std::size_t index) const {
-    return {entries_.data() + rows_[index].begin, rows_[index].len};
+    return {rows_[index].data, rows_[index].len};
   }
 
+  /// Copies `src` to the tail of the entry arena (starting a new chunk
+  /// when the tail chunk cannot hold it whole) and returns where it
+  /// landed. Never writes below an existing segment.
+  const RatioMap::Entry* append_entries(std::span<const RatioMap::Entry> src);
+  /// Appends one posting to list `list`, moving the list to a block of
+  /// twice the capacity when its block is full.
+  void append_posting(std::uint32_t list, const engine_detail::Posting& p);
   /// Writes the view's entries as row `index`'s segment (at the tail of
-  /// entries_) and appends its postings.
+  /// the arena) and appends its postings.
   void write_row(std::size_t index, const RowView& source);
   /// Shared slot pick + bookkeeping behind add/add_row.
   std::size_t add_impl(const RowView& source);
-  /// Tombstones row `index`'s postings and orphans its entry segment.
+  /// Stamps row `index`'s live postings dead at the open generation and
+  /// orphans its entry segment.
   void tombstone_row(std::size_t index);
+  /// Drops every entry chunk and posting block (lists keep their slots,
+  /// emptied) when a snapshot may still read them; otherwise only
+  /// rewinds them for reuse. Behind clear() and compact().
+  void restart_storage();
   void maybe_compact();
 
   SimilarityKind kind_;
 
-  // CSR corpus. Entry segments are append-only between compactions.
+  // Row table: per-slot metadata, copied whole by a freeze that finds it
+  // dirty (24 B per slot).
   std::vector<engine_detail::Row> rows_;
-  std::vector<RatioMap::Entry> entries_;
-  std::vector<double> norms_;       // RatioMap::norm() per row
-  std::vector<double> strongest_;   // RatioMap::strongest_mapping() per row
+  std::vector<double> norms_;  // RatioMap::norm() per row
   std::vector<std::uint32_t> free_rows_;  // dead slots, reused LIFO by add
   std::size_t live_rows_ = 0;
   std::size_t live_entries_ = 0;
   std::size_t dead_entries_ = 0;
 
+  // Entry arena: fixed-capacity chunks, written append-only. Rows never
+  // straddle chunks, so a row is one (pointer, length) pair. Snapshots
+  // hold the chunk handles, so the writer appending past their frozen
+  // rows never touches a byte they read.
+  std::vector<std::shared_ptr<RatioMap::Entry[]>> chunks_;
+  std::size_t tail_used_ = 0;  // entries used in chunks_.back()
+  std::size_t tail_cap_ = 0;   // capacity of chunks_.back()
+
   // Inverted index: replica -> posting list. Lists keep insertion order;
-  // within one replica each live row appears at most once, so posting
+  // within one replica each row has at most one live posting, so posting
   // order never affects the per-map accumulation order (which follows
-  // the query's sorted entries).
+  // the query's sorted entries). post_[l] is list l's kernel view into
+  // post_blocks_[l], an append-only block of post_cap_[l] postings.
   std::unordered_map<ReplicaId, std::uint32_t> replica_slot_;
   std::vector<engine_detail::PostingList> post_;
+  std::vector<std::shared_ptr<engine_detail::Posting[]>> post_blocks_;
+  std::vector<std::uint32_t> post_cap_;
   std::size_t live_replicas_ = 0;  // posting lists with live > 0
+  // Tombstone generations (engine_detail::Posting): tombstones stamp
+  // open_gen_, and a freeze hands its snapshot open_gen_ as the horizon
+  // (remembered in frozen_gen_); the first stamp after a freeze opens
+  // the next generation. Fresh storage (clear, compact) holds no stamps
+  // and no snapshot reads it, so both restart — which bounds the
+  // generation by the tombstones between compactions.
+  std::uint32_t open_gen_ = 1;
+  std::uint32_t frozen_gen_ = 0;
 
   MutationStats mstats_;
 
   // Per-component dirt tracking for freeze()'s structural sharing. A
-  // component's version bumps whenever a mutation touches it: row
-  // metadata (rows_/norms_/strongest_) on add/update/remove/compact,
-  // the entry array on appends and compaction (NOT on remove — a
-  // tombstoned segment's bytes are unchanged, so remove-only churn
-  // keeps sharing the entry array), the posting index on any posting
-  // write. freeze() copies exactly the components whose version moved
-  // since the snapshot it retains was cut.
+  // component's version bumps whenever a mutation touches it; freeze()
+  // copies exactly the components whose version moved since the
+  // snapshot it retains was cut, and shares the rest:
+  //  * rows_version_     — the row table (add/update/remove/compact)
+  //  * chunks_version_   — the chunk handle list (a new chunk starts)
+  //  * replicas_version_ — replica_slot_ (a never-seen replica appears)
+  //  * postings_version_ — the per-list (size, live) views
+  //  * blocks_version_   — the posting block handles (a block grows)
+  // Entry and posting *bytes* are never copied by a freeze: they are
+  // append-only, so every snapshot shares them.
   std::uint64_t rows_version_ = 0;
-  std::uint64_t entries_version_ = 0;
+  std::uint64_t chunks_version_ = 0;
+  std::uint64_t replicas_version_ = 0;
   std::uint64_t postings_version_ = 0;
+  std::uint64_t blocks_version_ = 0;
+  // Set once a freeze captured the current chunks/blocks: clear() and
+  // compact() must then start fresh storage instead of rewriting it.
+  bool storage_frozen_ = false;
 
   struct FreezeCache {
     std::shared_ptr<const EngineSnapshot> snapshot;
     std::uint64_t rows_version = 0;
-    std::uint64_t entries_version = 0;
+    std::uint64_t chunks_version = 0;
+    std::uint64_t replicas_version = 0;
     std::uint64_t postings_version = 0;
+    std::uint64_t blocks_version = 0;
   };
   FreezeCache freeze_cache_;
 };

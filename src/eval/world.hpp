@@ -58,9 +58,12 @@ enum class PolicyKind { kLatencyDriven, kGeoStatic, kRandom, kSticky };
 /// observability only — no result depends on it).
 struct CampaignStats {
   std::size_t participants = 0;
-  /// Probe rounds per node (the campaign's return value).
+  /// Schedule slots in the window, (end - start) / interval + 1 (the
+  /// campaign's return value) — an upper bound on any node's probe
+  /// count, not the count itself (see World::run_probing).
   std::size_t rounds = 0;
-  /// Total CrpNode::probe calls across all participants.
+  /// Total CrpNode::probe calls across all participants — the exact
+  /// count, the sum of the per-node probe counts.
   std::size_t probes_issued = 0;
   /// Authoritative round-trips the resolvers performed (cache misses).
   std::size_t upstream_dns_queries = 0;
@@ -193,7 +196,13 @@ class World {
   // --- campaign ---
   /// Runs a probing campaign: every participant's CrpNode probes every
   /// `interval` from `start` (plus a per-node stagger offset) to `end`.
-  /// Returns the number of probe rounds executed per node. Runs the
+  /// Returns the number of schedule slots in the window,
+  /// (end - start) / interval + 1 (145 for 24 h at 10 min). That bounds
+  /// each node's probe count from above but is not it: a node probes at
+  /// start + offset + i * interval while that is <= end, so when the
+  /// window ends on a slot boundary every node with a non-zero stagger
+  /// offset probes one time fewer (144 of the 145). The exact total is
+  /// campaign_stats().probes_issued. Runs the
   /// parallel campaign on the shared thread pool; results are
   /// bit-identical to `run_probing_sequential` (see DESIGN.md §6).
   std::size_t run_probing(SimTime start, SimTime end, Duration interval);

@@ -63,6 +63,7 @@ ServiceStats& ServiceStats::operator+=(const ServiceStats& other) {
   stale_answers += other.stale_answers;
   refused_queries += other.refused_queries;
   routing_rejected += other.routing_rejected;
+  snapshot_bytes_copied += other.snapshot_bytes_copied;
   // Lag is a level, not a flow: a fleet is as far behind as its worst
   // shard, so aggregation takes the max instead of summing.
   epoch_lag_last = std::max(epoch_lag_last, other.epoch_lag_last);
@@ -74,6 +75,53 @@ ServiceStats aggregate_stats(std::span<const ServiceStats> per_shard) {
   ServiceStats total;
   for (const ServiceStats& s : per_shard) total += s;
   return total;
+}
+
+namespace {
+
+/// First entry of a by-id index whose id is not less than `id`.
+template <typename Index>
+auto lower_bound_id(Index& by_id, const std::vector<std::string>& ids,
+                    const std::string& id) {
+  return std::lower_bound(by_id.begin(), by_id.end(), id,
+                          [&ids](std::uint32_t slot, const std::string& key) {
+                            return ids[slot] < key;
+                          });
+}
+
+}  // namespace
+
+std::size_t NodeTable::find(const std::string& id) const {
+  const auto it = lower_bound_id(by_id, ids, id);
+  if (it == by_id.end() || ids[*it] != id) return npos;
+  return *it;
+}
+
+void NodeTable::insert(std::size_t slot, const std::string& id) {
+  if (slot == ids.size()) {
+    ids.push_back(id);
+  } else {
+    ids[slot] = id;
+  }
+  by_id.insert(lower_bound_id(by_id, ids, id),
+               static_cast<std::uint32_t>(slot));
+}
+
+void NodeTable::erase(std::size_t slot) {
+  by_id.erase(lower_bound_id(by_id, ids, ids[slot]));
+  ids[slot].clear();
+}
+
+void NodeTable::clear() {
+  ids.clear();
+  by_id.clear();
+}
+
+std::uint64_t NodeTable::copy_bytes() const {
+  std::uint64_t bytes = ids.size() * sizeof(std::string) +
+                        by_id.size() * sizeof(std::uint32_t);
+  for (const std::string& id : ids) bytes += id.size();
+  return bytes;
 }
 
 PositionService::PositionService(ServiceConfig config)
@@ -116,6 +164,9 @@ void PositionService::sync_engine_stats() {
                              std::memory_order_relaxed);
   compactions_.store(compactions_base_ + engine.compactions,
                      std::memory_order_relaxed);
+  snapshot_bytes_copied_.store(
+      freeze_bytes_base_ + engine.snapshot_bytes_copied + node_bytes_copied_,
+      std::memory_order_relaxed);
 }
 
 bool PositionService::publish_impl(PositionReport report, SimTime now) {
@@ -132,18 +183,20 @@ bool PositionService::publish_impl(PositionReport report, SimTime now) {
     return false;
   }
   if (it != reports_.end()) {
-    engine_.update(slot_of_.at(report.node_id), report.map);
+    const std::size_t slot = slot_of_.at(report.node_id);
+    engine_.update(slot, report.map);
+    when_[slot] = report.when;
     it->second = std::move(report);
   } else {
     const std::size_t slot = engine_.add(report.map);
     slot_of_.emplace(report.node_id, slot);
-    if (slot == node_at_.size()) {
-      node_at_.push_back(report.node_id);
-    } else {
-      node_at_[slot] = report.node_id;  // reused tombstoned slot
-    }
+    nodes_.insert(slot, report.node_id);  // may reuse a tombstoned slot
+    if (slot == when_.size()) when_.emplace_back();
+    when_[slot] = report.when;
+    ++nodes_version_;
     reports_.emplace(report.node_id, std::move(report));
   }
+  ++when_version_;
   sync_engine_stats();
   reports_accepted_.fetch_add(1, std::memory_order_relaxed);
   ++membership_epoch_;
@@ -197,7 +250,8 @@ bool PositionService::drop_node(const std::string& node_id) {
   // valid — bumping the epoch here would force a needless recluster.
   if (it == slot_of_.end()) return false;
   engine_.remove(it->second);
-  node_at_[it->second].clear();
+  nodes_.erase(it->second);
+  ++nodes_version_;
   slot_of_.erase(it);
   reports_.erase(node_id);
   sync_engine_stats();
@@ -212,9 +266,13 @@ void PositionService::reset(SimTime now) {
   const auto& engine = engine_.mutation_stats();
   tombstoned_base_ += engine.postings_tombstoned;
   compactions_base_ += engine.compactions;
+  freeze_bytes_base_ += engine.snapshot_bytes_copied;
   reports_.clear();
   slot_of_.clear();
-  node_at_.clear();
+  nodes_.clear();
+  when_.clear();
+  ++nodes_version_;
+  ++when_version_;
   engine_.clear(config_.metric);
   // Fresh generation, not a mutation: snapshots holding the pre-crash
   // clustering keep it alive untouched.
@@ -577,7 +635,7 @@ std::vector<std::string> PositionService::same_cluster(
   std::vector<std::string> out;
   for (std::size_t member : cluster.members) {
     if (member == slot) continue;
-    const std::string& id = node_at_[member];
+    const std::string& id = nodes_.ids[member];
     // Tombstoned slots and members whose reports went stale since the
     // clustering was cached are filtered here, at answer time.
     if (id.empty() || !is_live_id(id, now)) continue;
@@ -592,8 +650,8 @@ PositionService::cluster_assignment(SimTime now) {
   counters_->queries_served.add();
   ensure_clustering(now);
   std::unordered_map<std::string, std::size_t> out;
-  for (std::size_t slot = 0; slot < node_at_.size(); ++slot) {
-    const std::string& id = node_at_[slot];
+  for (std::size_t slot = 0; slot < nodes_.ids.size(); ++slot) {
+    const std::string& id = nodes_.ids[slot];
     if (id.empty() || !is_live_id(id, now)) continue;
     out[id] = clustering_->assignment[slot];
   }
@@ -620,7 +678,7 @@ std::vector<std::string> PositionService::diverse_set(std::size_t n,
     bool center_live = false;
     std::string smallest;
     for (std::size_t member : cluster.members) {
-      const std::string& id = node_at_[member];
+      const std::string& id = nodes_.ids[member];
       if (id.empty() || !is_live_id(id, now)) continue;
       ++c.live_members;
       if (member == cluster.center) center_live = true;
@@ -629,7 +687,7 @@ std::vector<std::string> PositionService::diverse_set(std::size_t n,
     if (c.live_members == 0) continue;
     // Prefer the center; if it went stale, the lexicographically
     // smallest live member stands in for it.
-    c.id = center_live ? node_at_[cluster.center] : smallest;
+    c.id = center_live ? nodes_.ids[cluster.center] : smallest;
     candidates.push_back(std::move(c));
   }
 
@@ -656,38 +714,29 @@ std::vector<std::string> PositionService::diverse_set(std::size_t n,
 std::shared_ptr<const ServingSnapshot> PositionService::publish_snapshot(
     SimTime now) {
   if (now > write_now_) write_now_ = now;
-  const std::shared_ptr<const ServingSnapshot> prev = snapshot_.load();
   auto snap = std::shared_ptr<ServingSnapshot>(new ServingSnapshot());
   snap->config_ = config_;
   snap->membership_epoch_ = membership_epoch_;
   snap->frozen_at_ = now;
   snap->engine_ = engine_.freeze(membership_epoch_);
-  if (prev != nullptr && prev->membership_epoch_ == membership_epoch_) {
-    // No accepted publish and no drop since `prev` was cut — ids and
-    // report timestamps are exactly what `prev` froze (the epoch bumps
-    // on every accepted publish, updates included), so the node table
-    // is shared, not rebuilt.
-    snap->slots_ = prev->slots_;
-    snap->by_id_ = prev->by_id_;
-  } else {
-    auto slots =
-        std::make_shared<std::vector<ServingSnapshot::SlotRec>>(
-            node_at_.size());
-    auto by_id = std::make_shared<std::vector<std::uint32_t>>();
-    by_id->reserve(reports_.size());
-    for (std::size_t i = 0; i < node_at_.size(); ++i) {
-      const std::string& id = node_at_[i];
-      if (id.empty()) continue;  // tombstoned slot: keep the {} record
-      (*slots)[i] = ServingSnapshot::SlotRec{id, reports_.at(id).when};
-      by_id->push_back(static_cast<std::uint32_t>(i));
-    }
-    std::sort(by_id->begin(), by_id->end(),
-              [&slots](std::uint32_t a, std::uint32_t b) {
-                return (*slots)[a].id < (*slots)[b].id;
-              });
-    snap->slots_ = std::move(slots);
-    snap->by_id_ = std::move(by_id);
+  // The node table and the timestamp array are shared with the previous
+  // freeze while their versions hold: update-only churn moves only
+  // timestamps (one flat copy), and a clean republish copies nothing.
+  // When the node set did change, the writer's incrementally maintained
+  // table is copied as is — no re-sort, no per-slot report lookups.
+  if (frozen_nodes_ == nullptr || frozen_nodes_version_ != nodes_version_) {
+    frozen_nodes_ = std::make_shared<const NodeTable>(nodes_);
+    frozen_nodes_version_ = nodes_version_;
+    node_bytes_copied_ += nodes_.copy_bytes();
   }
+  if (frozen_when_ == nullptr || frozen_when_version_ != when_version_) {
+    frozen_when_ = std::make_shared<const std::vector<SimTime>>(when_);
+    frozen_when_version_ = when_version_;
+    node_bytes_copied_ += when_.size() * sizeof(SimTime);
+  }
+  snap->nodes_ = frozen_nodes_;
+  snap->when_ = frozen_when_;
+  sync_engine_stats();
   if (config_.snapshots.clustering) {
     ensure_clustering(now);
     snap->clustering_ = clustering_;
@@ -764,6 +813,8 @@ ServiceStats PositionService::stats() const {
       engine_rebuilds_avoided_.load(std::memory_order_relaxed);
   s.postings_tombstoned = postings_tombstoned_.load(std::memory_order_relaxed);
   s.compactions = compactions_.load(std::memory_order_relaxed);
+  s.snapshot_bytes_copied =
+      snapshot_bytes_copied_.load(std::memory_order_relaxed);
   s.similarity_queries = counters_->similarity_queries.total();
   s.maps_touched = counters_->maps_touched.total();
   s.reclusters = reclusters_.load(std::memory_order_relaxed);

@@ -151,6 +151,32 @@ struct TieredAnswer {
   }
 };
 
+/// The node half of the service's state (DESIGN.md §8): which node
+/// occupies each engine slot, plus the occupied slots in id order. The
+/// writer maintains it incrementally — an add inserts one index entry
+/// at its sorted position, a drop erases one, nothing is ever re-sorted
+/// — and snapshots share one frozen copy until the node *set* changes
+/// (add, drop or reset). Report timestamps are not part of it: they
+/// move on every accepted update and live in their own slot-indexed
+/// array, so update-only churn never touches the table.
+struct NodeTable {
+  static constexpr std::size_t npos = ~std::size_t{0};
+
+  std::vector<std::string> ids;      // slot -> node id ("" = empty slot)
+  std::vector<std::uint32_t> by_id;  // occupied slots, sorted by id
+
+  /// Slot of `id`, or npos (binary search over by_id).
+  [[nodiscard]] std::size_t find(const std::string& id) const;
+  /// Seats `id` (not present yet) in `slot` (empty or one past the end).
+  void insert(std::size_t slot, const std::string& id);
+  /// Empties `slot` (occupied).
+  void erase(std::size_t slot);
+  void clear();
+  /// The bytes a copy of the table duplicates (string headers and
+  /// characters, index entries) — what a freeze that must copy it costs.
+  [[nodiscard]] std::uint64_t copy_bytes() const;
+};
+
 /// Serving counters, cumulative since construction (see stats()).
 ///
 /// Coherence under concurrent readers: stats() may be called from any
@@ -168,8 +194,8 @@ struct TieredAnswer {
 ///  * reports_accepted / reports_rejected / reclusters /
 ///    recluster_seconds / recluster_maps_touched /
 ///    clustering_cache_hits / engine_rebuilds_avoided /
-///    postings_tombstoned / compactions — written by the single writer
-///    only; a racing stats() sees some prefix of the writer's bumps
+///    postings_tombstoned / compactions / snapshot_bytes_copied —
+///    written by the single writer only; a racing stats() sees some prefix of the writer's bumps
 ///    (e.g. a publish counted in reports_accepted whose tombstones are
 ///    not yet in postings_tombstoned). Never torn, never decreasing.
 struct ServiceStats {
@@ -214,6 +240,14 @@ struct ServiceStats {
   /// refused a routed report" (stale, malformed body, out-of-order).
   /// Always 0 on an unsharded service.
   std::uint64_t routing_rejected = 0;
+  /// Bytes publish_snapshot copied into snapshots, cumulative: the
+  /// engine freeze's (SimilarityEngine::MutationStats) plus the node
+  /// table's and the timestamp array's when they changed. Deterministic
+  /// — a function of the write sequence only — so it is the exact cost
+  /// a gate can hold freezes to: 0 for a clean republish, O(slots +
+  /// posting lists) for update-only churn, a node-table copy on top
+  /// when the node set changed. Writer-only source, relaxed atomic.
+  std::uint64_t snapshot_bytes_copied = 0;
 
   /// Field-wise accumulation — how a sharded front-end aggregates its
   /// per-shard stats into one fleet view. Counters sum; so does
@@ -368,10 +402,12 @@ class PositionService {
   }
   /// Cuts and publishes a snapshot of the current state, frozen at
   /// `now`, unconditionally (works with snapshots disabled too —
-  /// callers doing their own pacing). Writer-side. Storage the engine
-  /// did not dirty since the last freeze is shared with the previous
-  /// snapshot, not copied; the node table is shared whenever the
-  /// membership epoch is unchanged.
+  /// callers doing their own pacing). Writer-side. The cost scales with
+  /// what changed since the previous freeze, not with the shard: the
+  /// engine shares every component it did not dirty (and all entry and
+  /// posting bytes), the node table is shared until the node set
+  /// changes, and the timestamp array is copied only after an accepted
+  /// report moved one (see ServiceStats::snapshot_bytes_copied).
   std::shared_ptr<const ServingSnapshot> publish_snapshot(SimTime now);
   /// Publishes a fresh snapshot iff `config().snapshots.enabled` and
   /// the published one has fallen past `max_epoch_lag` membership
@@ -466,11 +502,22 @@ class PositionService {
   ServiceConfig config_;
   std::unordered_map<std::string, PositionReport> reports_;
 
-  // The similarity corpus. node_at_[slot] is the node occupying an
-  // engine row ("" for tombstoned rows); slot_of_ is the inverse.
+  // The similarity corpus. nodes_.ids[slot] is the node occupying an
+  // engine row ("" for tombstoned rows); slot_of_ is the inverse, and
+  // when_[slot] that node's report timestamp (what liveness filters
+  // on). nodes_version_ moves with the node set, when_version_ with any
+  // timestamp; publish_snapshot shares its frozen copies (frozen_*)
+  // while they match.
   core::SimilarityEngine engine_;
   std::unordered_map<std::string, std::size_t> slot_of_;
-  std::vector<std::string> node_at_;
+  NodeTable nodes_;
+  std::vector<SimTime> when_;
+  std::uint64_t nodes_version_ = 0;
+  std::uint64_t when_version_ = 0;
+  std::shared_ptr<const NodeTable> frozen_nodes_;
+  std::uint64_t frozen_nodes_version_ = 0;
+  std::shared_ptr<const std::vector<SimTime>> frozen_when_;
+  std::uint64_t frozen_when_version_ = 0;
 
   // Cached clustering over the engine corpus. The clusterer lives here
   // so its center/singleton index allocations survive across rebuilds.
@@ -503,6 +550,10 @@ class PositionService {
   // keep stats() monotonic across a crash (writer-only).
   std::uint64_t tombstoned_base_ = 0;
   std::uint64_t compactions_base_ = 0;
+  std::uint64_t freeze_bytes_base_ = 0;
+  // Node-table and timestamp bytes copied by publish_snapshot (writer-
+  // only; the engine counts its own freeze bytes).
+  std::uint64_t node_bytes_copied_ = 0;
 
   // Query-path counters are thread-sharded (bumped through const query
   // methods on this service *and* on published snapshots — the struct
@@ -525,6 +576,7 @@ class PositionService {
   // engine's internals concurrently with a mutation.
   std::atomic<std::uint64_t> postings_tombstoned_{0};
   std::atomic<std::uint64_t> compactions_{0};
+  std::atomic<std::uint64_t> snapshot_bytes_copied_{0};
   // Epoch-lag observations (see ServiceStats::epoch_lag_last): written
   // by the writer after each snapshot pacing decision, read by stats()
   // from any thread.

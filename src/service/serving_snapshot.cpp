@@ -12,26 +12,14 @@ namespace crp::service {
 using serving_detail::ScoredRef;
 using serving_detail::better_ref;
 
-std::size_t ServingSnapshot::find(const std::string& node_id) const {
-  const std::vector<std::uint32_t>& index = *by_id_;
-  const std::vector<SlotRec>& slots = *slots_;
-  const auto it = std::lower_bound(
-      index.begin(), index.end(), node_id,
-      [&slots](std::uint32_t slot, const std::string& id) {
-        return slots[slot].id < id;
-      });
-  if (it == index.end() || slots[*it].id != node_id) return npos;
-  return *it;
-}
-
 std::vector<std::string> ServingSnapshot::live_nodes(SimTime now) const {
-  // by_id_ is sorted lexicographically, so the output comes out in the
-  // contract's order with no sort — identical to the mutable path's
-  // walk-then-sort.
+  // The by-id index is sorted lexicographically, so the output comes out
+  // in the contract's order with no sort — identical to the mutable
+  // path's walk-then-sort.
   std::vector<std::string> nodes;
-  nodes.reserve(by_id_->size());
-  for (const std::uint32_t slot : *by_id_) {
-    if (live_at(slot, now)) nodes.push_back((*slots_)[slot].id);
+  nodes.reserve(nodes_->by_id.size());
+  for (const std::uint32_t slot : nodes_->by_id) {
+    if (live_at(slot, now)) nodes.push_back(id_at(slot));
   }
   return nodes;
 }
@@ -88,9 +76,9 @@ std::vector<RankedNode> ServingSnapshot::closest_any(
   // node table. Same candidate set, and the heap's total order makes
   // the result offer-order-independent — byte-identical either way.
   BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const std::uint32_t slot : *by_id_) {
+  for (const std::uint32_t slot : nodes_->by_id) {
     if (slot == client_slot || !live_at(slot, now)) continue;
-    heap.offer(ScoredRef{&(*slots_)[slot].id, scores[slot]});
+    heap.offer(ScoredRef{&id_at(slot), scores[slot]});
   }
   return serving_detail::materialize<RankedNode>(heap.take_sorted());
 }
@@ -133,9 +121,9 @@ TieredAnswer ServingSnapshot::closest_tiered_impl(
   if (any) {
     std::vector<double> scores(engine_->size());
     similarity_scores(client_slot, scores);
-    for (const std::uint32_t slot : *by_id_) {
+    for (const std::uint32_t slot : nodes_->by_id) {
       if (slot == client_slot || !usable(slot)) continue;
-      heap.offer(ScoredRef{&(*slots_)[slot].id, scores[slot]});
+      heap.offer(ScoredRef{&id_at(slot), scores[slot]});
     }
   } else {
     std::vector<const std::string*> vetted;
@@ -181,9 +169,9 @@ std::vector<RankedNode> ServingSnapshot::top_k(const core::RatioMap& query,
   counters_->similarity_queries.add();
   counters_->maps_touched.add(touched);
   BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const std::uint32_t slot : *by_id_) {
+  for (const std::uint32_t slot : nodes_->by_id) {
     if (!live_at(slot, now)) continue;
-    heap.offer(ScoredRef{&(*slots_)[slot].id, scores[slot]});
+    heap.offer(ScoredRef{&id_at(slot), scores[slot]});
   }
   return serving_detail::materialize<RankedNode>(heap.take_sorted());
 }
@@ -201,17 +189,17 @@ std::optional<ServingSnapshot::Resident> ServingSnapshot::resident(
 }
 
 std::vector<ServingSnapshot::Vetted> ServingSnapshot::vet_candidates(
-    std::span<const std::string> candidates, bool stale_band,
+    std::span<const std::string* const> candidates, bool stale_band,
     SimTime now) const {
   std::vector<Vetted> vetted;
   vetted.reserve(candidates.size());
-  for (const std::string& candidate : candidates) {
-    const std::size_t slot = find(candidate);
+  for (const std::string* candidate : candidates) {
+    const std::size_t slot = find(*candidate);
     if (slot == npos) continue;
     if (!live_at(slot, now) && !(stale_band && stale_usable_at(slot, now))) {
       continue;
     }
-    vetted.push_back(Vetted{&candidate, slot});
+    vetted.push_back(Vetted{candidate, slot});
   }
   return vetted;
 }
@@ -225,12 +213,12 @@ std::vector<RankedNode> ServingSnapshot::partial_closest_any(
   counters_->similarity_queries.add();
   counters_->maps_touched.add(touched);
   BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const std::uint32_t slot : *by_id_) {
+  for (const std::uint32_t slot : nodes_->by_id) {
     if (slot == exclude_slot) continue;
     if (!live_at(slot, now) && !(stale_band && stale_usable_at(slot, now))) {
       continue;
     }
-    heap.offer(ScoredRef{&(*slots_)[slot].id, scores[slot]});
+    heap.offer(ScoredRef{&id_at(slot), scores[slot]});
   }
   return serving_detail::materialize<RankedNode>(heap.take_sorted());
 }
@@ -260,9 +248,9 @@ std::vector<RankedNode> ServingSnapshot::partial_top_k(
   counters_->similarity_queries.add();
   counters_->maps_touched.add(touched);
   BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const std::uint32_t slot : *by_id_) {
+  for (const std::uint32_t slot : nodes_->by_id) {
     if (!live_at(slot, now)) continue;
-    heap.offer(ScoredRef{&(*slots_)[slot].id, scores[slot]});
+    heap.offer(ScoredRef{&id_at(slot), scores[slot]});
   }
   return serving_detail::materialize<RankedNode>(heap.take_sorted());
 }
@@ -277,10 +265,10 @@ std::vector<std::vector<RankedNode>> ServingSnapshot::partial_closest_batch(
   // snapshot. (Partial reads never widen to the stale band: the batch
   // path, like the unsharded one, serves fresh clients only.)
   std::vector<NodeRef> nodes;
-  nodes.reserve(by_id_->size());
-  for (const std::uint32_t slot : *by_id_) {
+  nodes.reserve(nodes_->by_id.size());
+  for (const std::uint32_t slot : nodes_->by_id) {
     if (live_at(slot, now)) {
-      nodes.push_back(NodeRef{&(*slots_)[slot].id, slot});
+      nodes.push_back(NodeRef{&id_at(slot), slot});
     }
   }
   std::vector<double> scores(engine_->size());
@@ -356,10 +344,10 @@ std::vector<std::vector<RankedNode>> ServingSnapshot::closest_batch(
   if (clients.empty()) return out;
 
   std::vector<NodeRef> nodes;
-  nodes.reserve(by_id_->size());
-  for (const std::uint32_t slot : *by_id_) {
+  nodes.reserve(nodes_->by_id.size());
+  for (const std::uint32_t slot : nodes_->by_id) {
     if (live_at(slot, now)) {
-      nodes.push_back(NodeRef{&(*slots_)[slot].id, slot});
+      nodes.push_back(NodeRef{&id_at(slot), slot});
     }
   }
 
@@ -440,9 +428,9 @@ std::vector<std::string> ServingSnapshot::same_cluster(
   std::vector<std::string> out;
   for (std::size_t member : cluster.members) {
     if (member == slot) continue;
-    const SlotRec& rec = (*slots_)[member];
-    if (rec.id.empty() || !live_at(member, now)) continue;
-    out.push_back(rec.id);
+    const std::string& id = id_at(member);
+    if (id.empty() || !live_at(member, now)) continue;
+    out.push_back(id);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -453,10 +441,10 @@ ServingSnapshot::cluster_assignment(SimTime now) const {
   counters_->queries_served.add();
   std::unordered_map<std::string, std::size_t> out;
   if (clustering_ == nullptr) return out;
-  for (std::size_t slot = 0; slot < slots_->size(); ++slot) {
-    const SlotRec& rec = (*slots_)[slot];
-    if (rec.id.empty() || !live_at(slot, now)) continue;
-    out[rec.id] = clustering_->assignment[slot];
+  for (std::size_t slot = 0; slot < nodes_->ids.size(); ++slot) {
+    const std::string& id = id_at(slot);
+    if (id.empty() || !live_at(slot, now)) continue;
+    out[id] = clustering_->assignment[slot];
   }
   return out;
 }
@@ -477,14 +465,14 @@ std::vector<std::string> ServingSnapshot::diverse_set(
     bool center_live = false;
     std::string smallest;
     for (std::size_t member : cluster.members) {
-      const SlotRec& rec = (*slots_)[member];
-      if (rec.id.empty() || !live_at(member, now)) continue;
+      const std::string& id = id_at(member);
+      if (id.empty() || !live_at(member, now)) continue;
       ++c.live_members;
       if (member == cluster.center) center_live = true;
-      if (smallest.empty() || rec.id < smallest) smallest = rec.id;
+      if (smallest.empty() || id < smallest) smallest = id;
     }
     if (c.live_members == 0) continue;
-    c.id = center_live ? (*slots_)[cluster.center].id : smallest;
+    c.id = center_live ? id_at(cluster.center) : smallest;
     candidates.push_back(std::move(c));
   }
 

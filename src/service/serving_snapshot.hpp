@@ -45,7 +45,7 @@ class ServingSnapshot {
  public:
   /// "No such slot" — the value find()/resident() report for unknown
   /// ids, and the exclude_slot callers pass when nothing is excluded.
-  static constexpr std::size_t npos = ~std::size_t{0};
+  static constexpr std::size_t npos = NodeTable::npos;
 
   // --- provenance ---
   /// Membership epoch of the service state this snapshot froze.
@@ -62,10 +62,13 @@ class ServingSnapshot {
   /// Whether cluster queries can answer (a clustering was attached).
   [[nodiscard]] bool has_clustering() const { return clustering_ != nullptr; }
   /// Nodes known at freeze time (live or not).
-  [[nodiscard]] std::size_t size() const { return by_id_->size(); }
+  [[nodiscard]] std::size_t size() const { return nodes_->by_id.size(); }
 
   // --- identity probes (tests: structural sharing across republishes) ---
-  [[nodiscard]] const void* nodes_identity() const { return slots_.get(); }
+  [[nodiscard]] const void* nodes_identity() const { return nodes_.get(); }
+  [[nodiscard]] const void* timestamps_identity() const {
+    return when_.get();
+  }
   [[nodiscard]] const void* counters_identity() const {
     return counters_.get();
   }
@@ -130,14 +133,16 @@ class ServingSnapshot {
     const std::string* id = nullptr;
     std::size_t slot = 0;
   };
-  /// Vets a candidate list against this shard: kept iff resident here
-  /// and usable at `now` (live, or stale-usable when `stale_band` — the
-  /// degraded tier's widened candidate band). Caller order preserved.
-  /// The client is NOT excluded here — its id can only be resident on
-  /// its owning shard, where rank-time slot exclusion removes it,
-  /// exactly like the unsharded batch path.
+  /// Vets candidates routed to this shard (ShardedFrontend::View routes
+  /// each candidate to its owner only): kept iff resident here and
+  /// usable at `now` (live, or stale-usable when `stale_band` — the
+  /// degraded tier's widened candidate band). Caller order preserved;
+  /// the Vetted ids borrow the pointed-to strings. The client is NOT
+  /// excluded here — its id can only be resident on its owning shard,
+  /// where rank-time slot exclusion removes it, exactly like the
+  /// unsharded batch path.
   [[nodiscard]] std::vector<Vetted> vet_candidates(
-      std::span<const std::string> candidates, bool stale_band,
+      std::span<const std::string* const> candidates, bool stale_band,
       SimTime now) const;
 
   /// This shard's partial answer to a closest-any query: every resident
@@ -199,21 +204,19 @@ class ServingSnapshot {
   friend class PositionService;
   ServingSnapshot() = default;
 
-  /// One engine slot's occupant: its id ("" for a tombstoned slot) and
-  /// its report timestamp (what liveness filters against).
-  struct SlotRec {
-    std::string id;
-    SimTime when = SimTime{-1};
-  };
-
   /// Engine slot of `node_id`, or npos if unknown at freeze time
   /// (binary search over the by-id index).
-  [[nodiscard]] std::size_t find(const std::string& node_id) const;
+  [[nodiscard]] std::size_t find(const std::string& node_id) const {
+    return nodes_->find(node_id);
+  }
+  [[nodiscard]] const std::string& id_at(std::size_t slot) const {
+    return nodes_->ids[slot];
+  }
   [[nodiscard]] bool live_at(std::size_t slot, SimTime now) const {
-    return now - (*slots_)[slot].when <= config_.staleness_bound;
+    return now - (*when_)[slot] <= config_.staleness_bound;
   }
   [[nodiscard]] bool stale_usable_at(std::size_t slot, SimTime now) const {
-    const Duration age = now - (*slots_)[slot].when;
+    const Duration age = now - (*when_)[slot];
     return config_.stale_usable_bound > config_.staleness_bound &&
            age > config_.staleness_bound &&
            age <= config_.stale_usable_bound;
@@ -241,13 +244,16 @@ class ServingSnapshot {
   std::uint64_t membership_epoch_ = 0;
   SimTime frozen_at_ = SimTime{-1};
   std::shared_ptr<const core::EngineSnapshot> engine_;
-  /// Slot-indexed node table ("" id = tombstoned slot). Shared with the
-  /// previous snapshot when the membership epoch did not move.
-  std::shared_ptr<const std::vector<SlotRec>> slots_;
-  /// Occupied slots sorted by node id — find() binary-searches it and
+  /// Node table: slot-indexed ids ("" = tombstoned slot) plus the
+  /// occupied slots sorted by id — find() binary-searches the index and
   /// live_nodes()/closest_any walk it (already in the contract's
-  /// lexicographic order).
-  std::shared_ptr<const std::vector<std::uint32_t>> by_id_;
+  /// lexicographic order). Shared with every snapshot cut since the
+  /// node *set* last changed (add, drop or reset); update-only churn
+  /// never replaces it.
+  std::shared_ptr<const NodeTable> nodes_;
+  /// Slot-indexed report timestamps — what liveness filters against.
+  /// Replaced by any freeze after an accepted report; shared otherwise.
+  std::shared_ptr<const std::vector<SimTime>> when_;
   /// Attached clustering, or nullptr (cluster queries answer empty).
   std::shared_ptr<const core::Clustering> clustering_;
   /// Shared with the owning service: readers bump the same sharded

@@ -505,6 +505,15 @@ std::size_t ShardedFrontend::View::shard_of(std::string_view node_id) const {
   return shard_index(node_id, snaps_.size());
 }
 
+std::vector<std::vector<const std::string*>> ShardedFrontend::View::route(
+    std::span<const std::string> candidates) const {
+  std::vector<std::vector<const std::string*>> routed(snaps_.size());
+  for (const std::string& candidate : candidates) {
+    routed[shard_of(candidate)].push_back(&candidate);
+  }
+  return routed;
+}
+
 std::size_t ShardedFrontend::View::size() const {
   std::size_t total = 0;
   for (const auto& snap : snaps_) total += snap->size();
@@ -562,11 +571,12 @@ std::vector<RankedNode> ShardedFrontend::View::closest(
   snaps_[owner]->count_queries();
   const auto res = snaps_[owner]->resident(client, now);
   if (!res.has_value() || !res->live) return {};
+  const auto routed = route(candidates);
   std::vector<std::vector<RankedNode>> partials(n);
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
   p.parallel_for(0, n, [&](std::size_t s) {
     const auto vetted =
-        snaps_[s]->vet_candidates(candidates, /*stale_band=*/false, now);
+        snaps_[s]->vet_candidates(routed[s], /*stale_band=*/false, now);
     partials[s] = snaps_[s]->partial_closest(
         res->row, s == owner ? res->slot : ServingSnapshot::npos, vetted, k);
   });
@@ -597,6 +607,7 @@ TieredAnswer ShardedFrontend::View::tiered_query(
     return out;
   }
   const bool stale_band = !fresh;
+  const auto routed = route(candidates);  // empty when `any`
   std::vector<std::vector<RankedNode>> partials(n);
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
   p.parallel_for(0, n, [&](std::size_t s) {
@@ -607,7 +618,7 @@ TieredAnswer ShardedFrontend::View::tiered_query(
                                                    stale_band, k, now);
     } else {
       const auto vetted =
-          snaps_[s]->vet_candidates(candidates, stale_band, now);
+          snaps_[s]->vet_candidates(routed[s], stale_band, now);
       partials[s] =
           snaps_[s]->partial_closest(res->row, exclude, vetted, k);
     }
@@ -673,6 +684,7 @@ GatheredAnswer ShardedFrontend::View::gathered_query(
   // the stale band (its capture is old; its stale-but-usable reports
   // are the whole point of serving it); missing shards contribute
   // nothing. On an all-healthy view this is tiered_query verbatim.
+  const auto routed = route(candidates);  // empty when `any`
   std::vector<std::vector<RankedNode>> partials(n);
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
   p.parallel_for(0, n, [&](std::size_t s) {
@@ -685,7 +697,7 @@ GatheredAnswer ShardedFrontend::View::gathered_query(
                                                    stale_band, k, now);
     } else {
       const auto vetted =
-          snaps_[s]->vet_candidates(candidates, stale_band, now);
+          snaps_[s]->vet_candidates(routed[s], stale_band, now);
       partials[s] = snaps_[s]->partial_closest(res->row, exclude, vetted, k);
     }
   });
@@ -814,11 +826,12 @@ std::vector<std::vector<RankedNode>> ShardedFrontend::View::closest_batch(
     if (counts[s] != 0) snaps_[s]->count_queries(counts[s]);
   }
   if (ext.empty()) return out;
+  const auto routed = route(candidates);
   std::vector<std::vector<std::vector<RankedNode>>> partials(n);
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
   p.parallel_for(0, n, [&](std::size_t s) {
     const auto vetted =
-        snaps_[s]->vet_candidates(candidates, /*stale_band=*/false, now);
+        snaps_[s]->vet_candidates(routed[s], /*stale_band=*/false, now);
     partials[s] = snaps_[s]->partial_closest_batch(ext, s, vetted, k);
   });
   p.parallel_for(0, ext.size(), [&](std::size_t j) {

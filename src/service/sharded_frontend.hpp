@@ -276,6 +276,13 @@ class ShardedFrontend {
     [[nodiscard]] GatheredAnswer gathered_query(
         const std::string& client, std::span<const std::string> candidates,
         bool any, std::size_t k, SimTime now, ThreadPool* pool) const;
+    /// Routes each candidate to its owning shard (shard_of, once per
+    /// candidate), caller order kept per shard. A node can only be
+    /// resident on its owner — the partitioning invariant — so vetting
+    /// shard s's list alone finds exactly what searching every
+    /// candidate on s did, at 1/shards of the lookups.
+    [[nodiscard]] std::vector<std::vector<const std::string*>> route(
+        std::span<const std::string> candidates) const;
 
     std::vector<std::shared_ptr<const ServingSnapshot>> snaps_;
     std::vector<std::uint64_t> epochs_;

@@ -4,6 +4,7 @@
 
 #include "core/engine_snapshot.hpp"
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -733,21 +734,175 @@ TEST(EngineSnapshotTest, RemoveOnlyChurnSharesEntryArray) {
   (void)engine.add(map_of({{ReplicaId{3}, 1.0}}));
 
   const auto s1 = engine.freeze(1);
+  const auto probe = map_of({{ReplicaId{2}, 0.7}, {ReplicaId{3}, 0.3}});
+  const auto s1_scores = s1->scores(probe);
   engine.remove(victim);
   const auto s2 = engine.freeze(2);
-  // A remove tombstones in place: row metadata and postings dirty, but
-  // the CSR entry bytes are untouched — that component is shared.
+  // A remove bumps the row's generation: the row table and the per-list
+  // views dirty, but no entry or posting byte moves — the entry chunks,
+  // the posting blocks and the replica index are all shared.
   EXPECT_NE(s2->rows_identity(), s1->rows_identity());
   EXPECT_NE(s2->postings_identity(), s1->postings_identity());
   EXPECT_EQ(s2->entries_identity(), s1->entries_identity());
+  EXPECT_EQ(s2->posting_blocks_identity(), s1->posting_blocks_identity());
+  EXPECT_EQ(s2->replica_index_identity(), s1->replica_index_identity());
   EXPECT_EQ(s2->live_size(), s1->live_size() - 1);
 
-  // An add appends entries: every component dirties.
-  (void)engine.add(map_of({{ReplicaId{4}, 1.0}}));
+  // An update over known replicas appends past every snapshot's frozen
+  // end, inside the tail chunk and the lists' current blocks: still no
+  // new chunk, block or replica.
+  engine.update(0, map_of({{ReplicaId{1}, 0.2}, {ReplicaId{3}, 0.8}}));
   const auto s3 = engine.freeze(3);
   EXPECT_NE(s3->rows_identity(), s2->rows_identity());
-  EXPECT_NE(s3->entries_identity(), s2->entries_identity());
-  EXPECT_NE(s3->postings_identity(), s2->postings_identity());
+  EXPECT_EQ(s3->entries_identity(), s2->entries_identity());
+  EXPECT_EQ(s3->posting_blocks_identity(), s2->posting_blocks_identity());
+  EXPECT_EQ(s3->replica_index_identity(), s2->replica_index_identity());
+
+  // A never-seen replica dirties the replica index and opens a block.
+  (void)engine.add(map_of({{ReplicaId{4}, 1.0}}));
+  const auto s4 = engine.freeze(4);
+  EXPECT_NE(s4->replica_index_identity(), s3->replica_index_identity());
+  EXPECT_NE(s4->posting_blocks_identity(), s3->posting_blocks_identity());
+  EXPECT_EQ(s4->entries_identity(), s3->entries_identity());
+
+  // Compaction starts fresh chunks and blocks; the replica set holds.
+  engine.compact();
+  const auto s5 = engine.freeze(5);
+  EXPECT_NE(s5->entries_identity(), s4->entries_identity());
+  EXPECT_NE(s5->posting_blocks_identity(), s4->posting_blocks_identity());
+  EXPECT_EQ(s5->replica_index_identity(), s4->replica_index_identity());
+
+  // None of it reached the first snapshot.
+  EXPECT_EQ(s1->scores(probe), s1_scores);
+  EXPECT_EQ(s5->scores(probe), engine.scores(probe));
+}
+
+TEST(EngineSnapshotTest, FreezeCopiesOnlyDirtySmallComponents) {
+  SimilarityEngine engine{SimilarityKind::kCosine};
+  Rng rng{8312};
+  for (const auto& m : random_corpus(rng, 200, 40)) (void)engine.add(m);
+  const auto bytes = [&engine] {
+    return engine.mutation_stats().snapshot_bytes_copied;
+  };
+  (void)engine.freeze(1);
+  const std::uint64_t first = bytes();
+  EXPECT_GT(first, 0u);
+  // Clean: no bytes, whatever the epoch.
+  (void)engine.freeze(1);
+  (void)engine.freeze(2);
+  EXPECT_EQ(bytes(), first);
+  // Update-only: the row table (24 B per slot) plus the per-list views,
+  // and the block handles only if some list outgrew its block — never
+  // entry or posting bytes, so the bound holds however long the rows.
+  const std::size_t slots = engine.size();
+  for (std::size_t i = 0; i < 5; ++i) {
+    if (engine.alive(i)) engine.update(i, random_corpus(rng, 1, 40)[0]);
+  }
+  (void)engine.freeze(3);
+  const std::uint64_t lists = 40;  // replica ids 0..39
+  EXPECT_LE(bytes() - first,
+            slots * 24 + lists * (sizeof(engine_detail::PostingList) + 16));
+}
+
+// The randomized immutability oracle: a snapshot cut mid-churn must keep
+// answering bit-identically to a reference engine built from the maps as
+// they were at the cut, through update batches that append into the
+// chunks and blocks it shares, a compaction that abandons them, and a
+// clear() that starts the engine over.
+TEST_P(EngineSnapshotTest, SnapshotSurvivesChurnCompactionAndClear) {
+  const SimilarityKind kind = GetParam();
+  Rng rng{8411 + static_cast<std::uint64_t>(kind)};
+  for (int trial = 0; trial < 4; ++trial) {
+    SimilarityEngine engine{kind};
+    std::vector<std::optional<RatioMap>> at_slot;
+    const auto add = [&](const RatioMap& m) {
+      const std::size_t slot = engine.add(m);
+      if (slot >= at_slot.size()) at_slot.resize(slot + 1);
+      at_slot[slot] = m;
+    };
+    // A snapshot paired with a reference engine built from the maps as
+    // they were at its cut, with the same slot numbering: every slot
+    // added in order, the dead ones removed afterwards.
+    struct Cut {
+      std::shared_ptr<const EngineSnapshot> snap;
+      std::unique_ptr<SimilarityEngine> reference;
+    };
+    std::uint64_t epoch = 0;
+    const auto cut = [&] {
+      Cut c{engine.freeze(++epoch),
+            std::make_unique<SimilarityEngine>(kind)};
+      for (const auto& m : at_slot) (void)c.reference->add(m.value_or(RatioMap{}));
+      for (std::size_t i = 0; i < at_slot.size(); ++i) {
+        if (!at_slot[i].has_value()) c.reference->remove(i);
+      }
+      return c;
+    };
+
+    for (const auto& m : random_corpus(rng, 60, 30)) add(m);
+    std::vector<Cut> cuts;
+    cuts.push_back(cut());  // straight after a pure-add build
+    for (int m = 0; m < 20; ++m) {
+      const auto slot =
+          static_cast<std::size_t>(rng.uniform_int(0, engine.size() - 1));
+      if (!engine.alive(slot)) continue;
+      if (rng.uniform(0.0, 1.0) < 0.7) {
+        at_slot[slot] = random_corpus(rng, 1, 30)[0];
+        engine.update(slot, *at_slot[slot]);
+      } else {
+        engine.remove(slot);
+        at_slot[slot].reset();
+      }
+    }
+    cuts.push_back(cut());  // mid-churn, tombstones present
+
+    const auto queries = random_corpus(rng, 5, 30);
+    const auto check = [&] {
+      for (const Cut& c : cuts) {
+        const EngineSnapshot& snap = *c.snap;
+        const SimilarityEngine& reference = *c.reference;
+        ASSERT_EQ(snap.size(), reference.size());
+        for (const auto& q : queries) {
+          EXPECT_EQ(snap.scores(q), reference.scores(q));
+          EXPECT_EQ(snap.top_k(q, 6), reference.top_k(q, 6));
+          EXPECT_EQ(snap.rank_all(q), reference.rank_all(q));
+        }
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+          EXPECT_EQ(snap.alive(i), reference.alive(i));
+          EXPECT_EQ(snap.strongest_mapping(i), reference.strongest_mapping(i));
+          EXPECT_EQ(snap.scores_of(i), reference.scores_of(i));
+        }
+        ThreadPool pool{2};
+        EXPECT_EQ(snap.topk_batch(queries, 4, &pool),
+                  reference.topk_batch(queries, 4, &pool));
+      }
+    };
+    check();
+
+    // Update batches stamping and appending into the shared chunks and
+    // blocks, each followed by a freeze (so later writes land past the
+    // horizons and frozen ends of several snapshots, not just one).
+    for (int batch = 0; batch < 12; ++batch) {
+      for (int u = 0; u < 8; ++u) {
+        const auto slot =
+            static_cast<std::size_t>(rng.uniform_int(0, engine.size() - 1));
+        if (engine.alive(slot)) {
+          engine.update(slot, random_corpus(rng, 1, 30)[0]);
+        } else {
+          (void)engine.add(random_corpus(rng, 1, 30)[0]);
+        }
+      }
+      (void)engine.freeze(++epoch);
+    }
+    check();
+    engine.compact();
+    (void)engine.add(random_corpus(rng, 1, 30)[0]);
+    (void)engine.freeze(++epoch);
+    check();
+    engine.clear(kind);
+    for (const auto& m : random_corpus(rng, 40, 30)) (void)engine.add(m);
+    (void)engine.freeze(++epoch);
+    check();
+  }
 }
 
 }  // namespace

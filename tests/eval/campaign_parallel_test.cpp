@@ -140,5 +140,38 @@ TEST(CampaignStatsTest, FilledBySequentialRun) {
   EXPECT_LE(stats.probes_issued, stats.participants * rounds);
 }
 
+// run_probing* returns schedule slots, (end - start) / interval + 1, not
+// a per-node probe count: a node probes at start + its stagger offset +
+// i * interval while that is <= end, so when the window ends on a slot
+// boundary every node with a non-zero offset probes one time fewer.
+// probes_issued is the exact total — the sum of the per-node counts.
+TEST(CampaignStatsTest, ProbesIssuedIsTheSumOfPerNodeProbes) {
+  for (const bool sequential : {false, true}) {
+    World world{small_config(PolicyKind::kLatencyDriven, 24)};
+    ThreadPool workers{2};
+    const SimTime start = SimTime::epoch();
+    const SimTime end = start + Hours(2);
+    const std::size_t slots =
+        sequential ? world.run_probing_sequential(start, end, Minutes(30))
+                   : world.run_probing_parallel(start, end, Minutes(30),
+                                                &workers);
+    EXPECT_EQ(slots, 5u);  // 0, 30, 60, 90, 120 minutes
+    std::size_t total = 0;
+    std::size_t short_nodes = 0;
+    for (HostId h : world.participants()) {
+      const core::CrpNode& node = world.crp_node(h);
+      ASSERT_EQ(node.failed_lookups(), 0u);
+      // Every probe of a fault-free campaign records one history entry.
+      const std::size_t probes = node.history().num_probes();
+      EXPECT_GE(probes, slots - 1);
+      EXPECT_LE(probes, slots);
+      if (probes == slots - 1) ++short_nodes;
+      total += probes;
+    }
+    EXPECT_EQ(world.campaign_stats().probes_issued, total);
+    EXPECT_GT(short_nodes, 0u);  // the staggered nodes miss the last slot
+  }
+}
+
 }  // namespace
 }  // namespace crp::eval

@@ -209,18 +209,35 @@ TEST(ServingSnapshotTest, RepublishWithoutWritesSharesEverything) {
   const auto s2 = service.publish_snapshot(t0 + Minutes(10));
   EXPECT_NE(s1, s2);
   EXPECT_EQ(s2->frozen_at(), t0 + Minutes(10));
-  // Same membership epoch: node table, engine snapshot (freeze-cache
-  // hit) and counters are all shared, not copied.
+  // Same membership epoch: node table, timestamps, engine snapshot
+  // (freeze-cache hit) and counters are all shared, not copied.
   EXPECT_EQ(s1->nodes_identity(), s2->nodes_identity());
   EXPECT_EQ(s1->engine().get(), s2->engine().get());
   EXPECT_EQ(s1->counters_identity(), s2->counters_identity());
 
-  // A write moves the epoch: the node table is rebuilt.
+  EXPECT_EQ(s1->timestamps_identity(), s2->timestamps_identity());
+
+  // An update moves the epoch but not the node set: the node table is
+  // still shared, only the timestamp array (and the engine's dirty
+  // components) are replaced.
   (void)service.publish(random_report(rng, "n0", t0 + Minutes(11)),
                         t0 + Minutes(11));
   const auto s3 = service.publish_snapshot(t0 + Minutes(11));
-  EXPECT_NE(s3->nodes_identity(), s2->nodes_identity());
+  EXPECT_EQ(s3->nodes_identity(), s2->nodes_identity());
+  EXPECT_NE(s3->timestamps_identity(), s2->timestamps_identity());
+  EXPECT_NE(s3->engine().get(), s2->engine().get());
   EXPECT_EQ(s3->counters_identity(), s2->counters_identity());
+
+  // An add or a drop changes the node set: the table is replaced.
+  (void)service.publish(random_report(rng, "n8", t0 + Minutes(12)),
+                        t0 + Minutes(12));
+  const auto s4 = service.publish_snapshot(t0 + Minutes(12));
+  EXPECT_NE(s4->nodes_identity(), s3->nodes_identity());
+  (void)service.remove("n8");
+  const auto s5 = service.publish_snapshot(t0 + Minutes(12));
+  EXPECT_NE(s5->nodes_identity(), s4->nodes_identity());
+  EXPECT_EQ(s5->live_nodes(t0 + Minutes(12)),
+            s3->live_nodes(t0 + Minutes(12)));
 }
 
 TEST(ServingSnapshotTest, DisabledConfigNeverAutopublishes) {
