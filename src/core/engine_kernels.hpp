@@ -23,14 +23,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/flat_matrix.hpp"
 #include "core/ratio_map.hpp"
 #include "core/selection.hpp"
 #include "core/similarity.hpp"
-
-namespace crp {
-class ThreadPool;
-}
 
 namespace crp::core {
 
@@ -186,32 +181,6 @@ void top_k_into(const CorpusView& v, const RowView& query, std::size_t k,
 /// Rows with strictly positive similarity to the query.
 [[nodiscard]] std::size_t comparable_count(const CorpusView& v,
                                            const RowView& query);
-
-/// Appends zero-similarity live rows in row order until `out` reaches
-/// `want` entries, skipping indices already ranked in `out`.
-void pad_zero_rows(const CorpusView& v, std::vector<RankedCandidate>& out,
-                   std::size_t want);
-
-// --- batched kernels (tiled, parallel across tiles, deterministic) ---
-
-/// Default / maximum tile width for the batched kernels. The kernel
-/// tracks which queries of a tile touched each map in one std::uint64_t
-/// bitmask, so a tile holds at most 64 queries; tile requests are
-/// clamped to [1, kMaxQueryTile].
-inline constexpr std::size_t kQueryTile = 32;
-inline constexpr std::size_t kMaxQueryTile = 64;
-
-/// Dense scores for a batch of queries into `out` (must be pre-assigned
-/// to refs.size() x v.size(), zero-filled). Row `i` is bit-identical to
-/// `dense_scores(v, refs[i])`.
-void scores_batch(const CorpusView& v, std::span<const RowView> refs,
-                  FlatMatrix<double>& out, ThreadPool* pool,
-                  std::uint64_t* maps_touched, std::size_t tile);
-
-/// Batched top-k, result `i` bit-identical to scalar top_k of refs[i].
-[[nodiscard]] std::vector<std::vector<RankedCandidate>> topk_batch(
-    const CorpusView& v, std::span<const RowView> refs, std::size_t k,
-    ThreadPool* pool, std::uint64_t* maps_touched, std::size_t tile);
 
 }  // namespace engine_detail
 }  // namespace crp::core

@@ -37,15 +37,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/flat_matrix.hpp"
 #include "core/engine_kernels.hpp"
 #include "core/ratio_map.hpp"
 #include "core/selection.hpp"
 #include "core/similarity.hpp"
-
-namespace crp {
-class ThreadPool;
-}
 
 namespace crp::core {
 
@@ -88,14 +83,6 @@ class EngineSnapshot {
   [[nodiscard]] std::vector<double> scores_of(std::size_t index) const;
   void scores_of(std::size_t index, std::span<double> out,
                  std::size_t* touched_maps = nullptr) const;
-  void scores_subset(const RatioMap& query,
-                     std::span<const std::size_t> subset,
-                     std::span<double> out,
-                     std::size_t* touched_maps = nullptr) const;
-  void scores_of_subset(std::size_t index,
-                        std::span<const std::size_t> subset,
-                        std::span<double> out,
-                        std::size_t* touched_maps = nullptr) const;
   [[nodiscard]] std::optional<RankedCandidate> best_match(
       const RowView& query, std::size_t* touched_maps = nullptr) const;
   [[nodiscard]] std::vector<RankedCandidate> rank_all(
@@ -104,18 +91,14 @@ class EngineSnapshot {
                                                    std::size_t k) const;
   [[nodiscard]] std::size_t comparable_count(const RatioMap& query) const;
 
-  [[nodiscard]] FlatMatrix<double> scores_batch(
-      std::span<const RatioMap> queries, ThreadPool* pool = nullptr,
-      std::uint64_t* maps_touched = nullptr,
-      std::size_t tile = engine_detail::kQueryTile) const;
-  void scores_of_batch(std::span<const std::size_t> rows,
-                       FlatMatrix<double>& out, ThreadPool* pool = nullptr,
-                       std::uint64_t* maps_touched = nullptr,
-                       std::size_t tile = engine_detail::kQueryTile) const;
-  [[nodiscard]] std::vector<std::vector<RankedCandidate>> topk_batch(
-      std::span<const RatioMap> queries, std::size_t k,
-      ThreadPool* pool = nullptr, std::uint64_t* maps_touched = nullptr,
-      std::size_t tile = engine_detail::kQueryTile) const;
+  /// The kernels' borrowed view of the frozen storage (see
+  /// SimilarityEngine::view); valid while the snapshot is held.
+  [[nodiscard]] engine_detail::CorpusView view() const {
+    return engine_detail::CorpusView{kind_,        rows_->rows,
+                                     rows_->norms, replica_slot_.get(),
+                                     *post_,       horizon_,
+                                     live_rows_};
+  }
 
   // --- storage-identity probes (tests of structural sharing only) ---
 
@@ -143,13 +126,6 @@ class EngineSnapshot {
   /// the blocks — they only keep the blocks alive while it is held.
   template <typename T>
   using Handles = std::vector<std::shared_ptr<const T[]>>;
-
-  [[nodiscard]] engine_detail::CorpusView view() const {
-    return engine_detail::CorpusView{kind_,        rows_->rows,
-                                     rows_->norms, replica_slot_.get(),
-                                     *post_,       horizon_,
-                                     live_rows_};
-  }
 
   SimilarityKind kind_ = SimilarityKind::kCosine;
   std::uint64_t epoch_ = 0;

@@ -358,22 +358,6 @@ void SimilarityEngine::scores(const RowView& query, std::span<double> out,
   engine_detail::dense_scores(view(), query, out, touched_maps);
 }
 
-void SimilarityEngine::scores_subset(const RatioMap& query,
-                                     std::span<const std::size_t> subset,
-                                     std::span<double> out,
-                                     std::size_t* touched_maps) const {
-  engine_detail::subset_scores(view(), engine_detail::as_query(query), subset,
-                               out, touched_maps);
-}
-
-void SimilarityEngine::scores_of_subset(std::size_t index,
-                                        std::span<const std::size_t> subset,
-                                        std::span<double> out,
-                                        std::size_t* touched_maps) const {
-  engine_detail::subset_scores(view(), row_view(index), subset, out,
-                               touched_maps);
-}
-
 std::optional<RankedCandidate> SimilarityEngine::best_match(
     const RowView& query, std::size_t* touched_maps) const {
   return engine_detail::best_match(view(), query, touched_maps);
@@ -396,38 +380,6 @@ std::size_t SimilarityEngine::comparable_count(const RatioMap& query) const {
                                          engine_detail::as_query(query));
 }
 
-FlatMatrix<double> SimilarityEngine::scores_batch(
-    std::span<const RatioMap> queries, ThreadPool* pool,
-    std::uint64_t* maps_touched, std::size_t tile) const {
-  std::vector<RowView> refs;
-  refs.reserve(queries.size());
-  for (const RatioMap& q : queries) refs.push_back(engine_detail::as_query(q));
-  FlatMatrix<double> out(queries.size(), size());  // zero-initialised
-  engine_detail::scores_batch(view(), refs, out, pool, maps_touched, tile);
-  return out;
-}
-
-void SimilarityEngine::scores_of_batch(std::span<const std::size_t> rows,
-                                       FlatMatrix<double>& out,
-                                       ThreadPool* pool,
-                                       std::uint64_t* maps_touched,
-                                       std::size_t tile) const {
-  std::vector<RowView> refs;
-  refs.reserve(rows.size());
-  for (const std::size_t index : rows) refs.push_back(row_view(index));
-  out.assign(rows.size(), size(), 0.0);
-  engine_detail::scores_batch(view(), refs, out, pool, maps_touched, tile);
-}
-
-std::vector<std::vector<RankedCandidate>> SimilarityEngine::topk_batch(
-    std::span<const RatioMap> queries, std::size_t k, ThreadPool* pool,
-    std::uint64_t* maps_touched, std::size_t tile) const {
-  std::vector<RowView> refs;
-  refs.reserve(queries.size());
-  for (const RatioMap& q : queries) refs.push_back(engine_detail::as_query(q));
-  return engine_detail::topk_batch(view(), refs, k, pool, maps_touched, tile);
-}
-
 std::vector<std::vector<RankedCandidate>> SimilarityEngine::all_top_k(
     std::size_t k, ThreadPool* pool) const {
   std::vector<std::vector<RankedCandidate>> out(size());
@@ -435,18 +387,6 @@ std::vector<std::vector<RankedCandidate>> SimilarityEngine::all_top_k(
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
   p.parallel_for(0, size(), [this, v, k, &out](std::size_t i) {
     engine_detail::top_k_into(v, row_view(i), k, out[i]);
-  });
-  return out;
-}
-
-FlatMatrix<double> SimilarityEngine::scores_many(
-    std::span<const RatioMap> queries, ThreadPool* pool) const {
-  FlatMatrix<double> out(queries.size(), size());
-  const engine_detail::CorpusView v = view();
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, queries.size(), [v, queries, &out](std::size_t i) {
-    engine_detail::dense_scores(v, engine_detail::as_query(queries[i]),
-                                out.row(i), nullptr);
   });
   return out;
 }

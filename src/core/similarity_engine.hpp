@@ -215,22 +215,6 @@ class SimilarityEngine {
   void scores(const RowView& query, std::span<double> out,
               std::size_t* touched_maps = nullptr) const;
 
-  /// Similarity of the query to the given corpus rows only:
-  /// `out[i] = similarity(query, row subset[i])`, bit-identical to the
-  /// dense `scores` read at those positions (0 for dead rows), without
-  /// materializing — or zero-filling — an engine-sized vector. Cost is
-  /// O(query postings + subset). Duplicate or unordered subset indices
-  /// are fine.
-  void scores_subset(const RatioMap& query,
-                     std::span<const std::size_t> subset,
-                     std::span<double> out,
-                     std::size_t* touched_maps = nullptr) const;
-  /// Same, with corpus row `index` as the query.
-  void scores_of_subset(std::size_t index,
-                        std::span<const std::size_t> subset,
-                        std::span<double> out,
-                        std::size_t* touched_maps = nullptr) const;
-
   /// The best-scoring *live* row for the query — `top_k(query, 1)[0]`
   /// without the sort or the allocation: highest similarity, ties to the
   /// lowest row index, and the first live row (at similarity 0) when no
@@ -259,61 +243,10 @@ class SimilarityEngine {
 
   // --- batch paths (parallel across queries, deterministic) ---
 
-  /// Default / maximum tile width for the batched query kernel
-  /// (`scores_batch` / `topk_batch`). The kernel tracks which queries of
-  /// a tile touched each map in one std::uint64_t bitmask, so a tile
-  /// holds at most 64 queries; tile requests are clamped to
-  /// [1, kMaxQueryTile].
-  static constexpr std::size_t kQueryTile = engine_detail::kQueryTile;
-  static constexpr std::size_t kMaxQueryTile = engine_detail::kMaxQueryTile;
-
-  /// Dense scores for a batch of external queries, row `i` of the result
-  /// bit-identical to `scores(queries[i])`. Unlike `scores_many` (one
-  /// full scalar query per task), queries are processed in *tiles* of
-  /// `tile`: each replica posting list touched by anyone in the tile is
-  /// traversed once, scatter-adding into a tile-wide accumulator block
-  /// (SoA via FlatMatrix), so posting-list traversal, replica-slot
-  /// lookups and scratch setup are paid once per tile instead of once
-  /// per query. Tiles run in parallel on `pool` (default
-  /// `ThreadPool::shared()`); each tile writes only its own result rows,
-  /// so output is bit-identical for any pool size including the inline
-  /// pool. If `maps_touched` is non-null it receives the summed
-  /// per-query touched counts — the same totals the scalar queries
-  /// would report.
-  [[nodiscard]] FlatMatrix<double> scores_batch(
-      std::span<const RatioMap> queries, ThreadPool* pool = nullptr,
-      std::uint64_t* maps_touched = nullptr,
-      std::size_t tile = kQueryTile) const;
-
-  /// Same tiled kernel with corpus rows as the queries: row `i` of `out`
-  /// is bit-identical to `scores_of(rows[i])`. `out` is reshaped to
-  /// rows.size() x size(). Dead rows query as empty maps (all zeros).
-  /// This is the PositionService's batched serving path.
-  void scores_of_batch(std::span<const std::size_t> rows,
-                       FlatMatrix<double>& out, ThreadPool* pool = nullptr,
-                       std::uint64_t* maps_touched = nullptr,
-                       std::size_t tile = kQueryTile) const;
-
-  /// Batched `top_k`: result `i` is bit-identical to
-  /// `top_k(queries[i], k)` — same scores, same (similarity desc, index
-  /// asc) order, same zero-similarity padding. Rankings come from a
-  /// bounded top-k heap over the tile's touched maps, never a full sort.
-  [[nodiscard]] std::vector<std::vector<RankedCandidate>> topk_batch(
-      std::span<const RatioMap> queries, std::size_t k,
-      ThreadPool* pool = nullptr, std::uint64_t* maps_touched = nullptr,
-      std::size_t tile = kQueryTile) const;
-
   /// top_k for every corpus row as the query, indexed by row position.
   /// `pool` defaults to `ThreadPool::shared()`.
   [[nodiscard]] std::vector<std::vector<RankedCandidate>> all_top_k(
       std::size_t k, ThreadPool* pool = nullptr) const;
-
-  /// Dense scores for a batch of external queries, row `i` of the
-  /// result being `scores(queries[i])`. One row-major allocation for
-  /// the whole batch; parallel across queries (each writes its own
-  /// row), bit-identical for any pool size.
-  [[nodiscard]] FlatMatrix<double> scores_many(
-      std::span<const RatioMap> queries, ThreadPool* pool = nullptr) const;
 
   /// Full similarity matrix, `result(i, j) = similarity(map_i, map_j)`,
   /// in one row-major allocation. Symmetric; diagonal is the
@@ -321,14 +254,15 @@ class SimilarityEngine {
   [[nodiscard]] FlatMatrix<double> pairwise_similarities(
       ThreadPool* pool = nullptr) const;
 
- private:
-  /// The kernels' borrowed view of this engine's storage. Valid until
-  /// the next mutation; never escapes a single query call.
+  /// The kernels' borrowed view of this engine's storage — how readers
+  /// outside the engine (the service's shard reader) run the shared
+  /// `engine_detail` kernels. Valid until the next mutation.
   [[nodiscard]] engine_detail::CorpusView view() const {
     return engine_detail::CorpusView{kind_, rows_, norms_, &replica_slot_,
                                      post_, open_gen_, live_rows_};
   }
 
+ private:
   [[nodiscard]] std::span<const RatioMap::Entry> row(std::size_t index) const {
     return {rows_[index].data, rows_[index].len};
   }

@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "common/top_k.hpp"
-#include "service/serving_detail.hpp"
+#include "service/read_path.hpp"
 #include "service/serving_snapshot.hpp"
+#include "service/shard_reader.hpp"
 
 namespace crp::service {
-
-using serving_detail::ScoredRef;
-using serving_detail::better_ref;
 
 const char* to_string(AnswerTier tier) {
   switch (tier) {
@@ -131,28 +127,9 @@ PositionService::PositionService(ServiceConfig config)
   config_.clustering.metric = config_.metric;
 }
 
-bool PositionService::is_live(const PositionReport& report,
-                              SimTime now) const {
-  return now - report.when <= config_.staleness_bound;
-}
-
-bool PositionService::is_live_id(const std::string& node_id,
-                                 SimTime now) const {
-  const auto it = reports_.find(node_id);
-  return it != reports_.end() && is_live(it->second, now);
-}
-
-bool PositionService::is_stale_usable(const PositionReport& report,
-                                      SimTime now) const {
-  return config_.stale_usable_bound > config_.staleness_bound &&
-         now - report.when > config_.staleness_bound &&
-         now - report.when <= config_.stale_usable_bound;
-}
-
-Duration PositionService::usable_bound() const {
-  return config_.stale_usable_bound > config_.staleness_bound
-             ? config_.stale_usable_bound
-             : config_.staleness_bound;
+ShardReader PositionService::reader() const {
+  return ShardReader{engine_.view(), nodes_,         when_,
+                     Liveness{config_}, *counters_, clustering_.get()};
 }
 
 void PositionService::sync_engine_stats() {
@@ -172,29 +149,29 @@ void PositionService::sync_engine_stats() {
 bool PositionService::publish_impl(PositionReport report, SimTime now) {
   if (now > write_now_) write_now_ = now;
   if (report.node_id.empty() || report.map.empty() ||
-      !is_live(report, now) || report.when > now) {
+      !Liveness{config_}.live(now - report.when) || report.when > now) {
     reports_rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   const auto it = reports_.find(report.node_id);
-  if (it != reports_.end() && it->second.when > report.when) {
+  if (it != reports_.end() && it->second.report.when > report.when) {
     // out-of-order delivery of an older report
     reports_rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   if (it != reports_.end()) {
-    const std::size_t slot = slot_of_.at(report.node_id);
+    const std::size_t slot = it->second.slot;
     engine_.update(slot, report.map);
     when_[slot] = report.when;
-    it->second = std::move(report);
+    it->second.report = std::move(report);
   } else {
     const std::size_t slot = engine_.add(report.map);
-    slot_of_.emplace(report.node_id, slot);
     nodes_.insert(slot, report.node_id);  // may reuse a tombstoned slot
     if (slot == when_.size()) when_.emplace_back();
     when_[slot] = report.when;
     ++nodes_version_;
-    reports_.emplace(report.node_id, std::move(report));
+    std::string id = report.node_id;
+    reports_.emplace(std::move(id), Stored{std::move(report), slot});
   }
   ++when_version_;
   sync_engine_stats();
@@ -245,15 +222,15 @@ std::size_t PositionService::publish_batch(std::span<const std::string> batch,
 }
 
 bool PositionService::drop_node(const std::string& node_id) {
-  const auto it = slot_of_.find(node_id);
+  const auto it = reports_.find(node_id);
   // Unknown id: membership is unchanged, so the cached clustering stays
   // valid — bumping the epoch here would force a needless recluster.
-  if (it == slot_of_.end()) return false;
-  engine_.remove(it->second);
-  nodes_.erase(it->second);
+  if (it == reports_.end()) return false;
+  const std::size_t slot = it->second.slot;
+  engine_.remove(slot);
+  nodes_.erase(slot);
   ++nodes_version_;
-  slot_of_.erase(it);
-  reports_.erase(node_id);
+  reports_.erase(it);
   sync_engine_stats();
   ++membership_epoch_;
   return true;
@@ -268,7 +245,6 @@ void PositionService::reset(SimTime now) {
   compactions_base_ += engine.compactions;
   freeze_bytes_base_ += engine.snapshot_bytes_copied;
   reports_.clear();
-  slot_of_.clear();
   nodes_.clear();
   when_.clear();
   ++nodes_version_;
@@ -298,299 +274,60 @@ std::optional<core::RatioMap> PositionService::map_of(
     const std::string& node_id) const {
   const auto it = reports_.find(node_id);
   if (it == reports_.end()) return std::nullopt;
-  return it->second.map;
+  return it->second.report.map;
 }
 
 std::optional<PositionReport> PositionService::report_of(
     const std::string& node_id) const {
   const auto it = reports_.find(node_id);
   if (it == reports_.end()) return std::nullopt;
-  return it->second;
+  return it->second.report;
 }
 
 std::vector<std::string> PositionService::live_nodes(SimTime now) const {
-  std::vector<std::string> nodes;
-  nodes.reserve(reports_.size());
-  for (const auto& [id, report] : reports_) {
-    if (is_live(report, now)) nodes.push_back(id);
-  }
-  std::sort(nodes.begin(), nodes.end());
-  return nodes;
-}
-
-void PositionService::similarity_scores(std::size_t client_slot,
-                                        std::span<double> out) const {
-  std::size_t touched = 0;
-  engine_.scores_of(client_slot, out, &touched);
-  counters_->similarity_queries.add();
-  counters_->maps_touched.add(touched);
+  return Gather(reader()).live_nodes(now);
 }
 
 std::vector<RankedNode> PositionService::closest(
     const std::string& client, std::span<const std::string> candidates,
     std::size_t k, SimTime now) const {
-  counters_->queries_served.add();
-  const auto client_it = reports_.find(client);
-  if (client_it == reports_.end() || !is_live(client_it->second, now)) {
-    return {};
-  }
-  // One subset engine query scores exactly the live candidates' slots —
-  // O(client postings + candidates), no engine-sized vector to fill or
-  // zero. Subset reads are bit-identical to the dense scores at those
-  // slots, which are bit-identical to per-pair similarity(), so the
-  // ranking matches the naive loop byte for byte.
-  std::vector<const std::string*> vetted;
-  std::vector<std::size_t> slots;
-  vetted.reserve(candidates.size());
-  slots.reserve(candidates.size());
-  for (const std::string& candidate : candidates) {
-    if (candidate == client) continue;
-    const auto it = reports_.find(candidate);
-    if (it == reports_.end() || !is_live(it->second, now)) continue;
-    vetted.push_back(&candidate);
-    slots.push_back(slot_of_.at(candidate));
-  }
-  std::vector<double> scores(slots.size());
-  std::size_t touched = 0;
-  engine_.scores_of_subset(slot_of_.at(client), slots, scores, &touched);
-  counters_->similarity_queries.add();
-  counters_->maps_touched.add(touched);
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (std::size_t i = 0; i < vetted.size(); ++i) {
-    heap.offer(ScoredRef{vetted[i], scores[i]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
+  return Gather(reader()).closest(client, candidates, k, now, nullptr);
 }
 
 std::vector<RankedNode> PositionService::closest_any(
     const std::string& client, std::size_t k, SimTime now) const {
-  counters_->queries_served.add();
-  const auto client_it = reports_.find(client);
-  if (client_it == reports_.end() || !is_live(client_it->second, now)) {
-    return {};
-  }
-  std::vector<double> scores(engine_.size());
-  similarity_scores(slot_of_.at(client), scores);
-  // Bounded heap instead of materialize-and-partial_sort: only the k
-  // kept nodes are ever copied, and under the (similarity, node_id)
-  // total order the result equals the full stable sort either way.
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const auto& [id, report] : reports_) {
-    if (id == client || !is_live(report, now)) continue;
-    heap.offer(ScoredRef{&id, scores[slot_of_.at(id)]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
+  return Gather(reader()).closest_any(client, k, now, nullptr);
 }
 
 std::vector<RankedNode> PositionService::top_k(const core::RatioMap& query,
                                                std::size_t k,
                                                SimTime now) const {
-  counters_->queries_served.add();
-  // The query is external — no corpus row to exclude, and pairwise
-  // similarity depends only on the query and the candidate's own row,
-  // so shards of a partitioned corpus score it bit-identically.
-  std::vector<double> scores(engine_.size());
-  std::size_t touched = 0;
-  engine_.scores(query, scores, &touched);
-  counters_->similarity_queries.add();
-  counters_->maps_touched.add(touched);
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const auto& [id, report] : reports_) {
-    if (!is_live(report, now)) continue;
-    heap.offer(ScoredRef{&id, scores[slot_of_.at(id)]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
-}
-
-TieredAnswer PositionService::tiered_query(
-    const std::string& client, std::span<const std::string> candidates,
-    bool any, std::size_t k, SimTime now) const {
-  counters_->queries_served.add();
-  TieredAnswer out;
-  const auto client_it = reports_.find(client);
-  if (client_it == reports_.end()) {
-    out.reason = DegradedReason::kUnknownClient;
-    counters_->refused_queries.add();
-    return out;
-  }
-  const bool fresh = is_live(client_it->second, now);
-  if (!fresh && !is_stale_usable(client_it->second, now)) {
-    out.reason = DegradedReason::kClientExpired;
-    counters_->refused_queries.add();
-    return out;
-  }
-
-  // Fresh tier ranks exactly what the plain queries rank (live
-  // candidates); the stale tier widens the candidate band to
-  // stale-but-usable reports — a degraded client deserves whatever
-  // usable information the corpus still holds.
-  const auto usable = [&](const PositionReport& report) {
-    return is_live(report, now) ||
-           (!fresh && is_stale_usable(report, now));
-  };
-
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  if (any) {
-    std::vector<double> scores(engine_.size());
-    similarity_scores(slot_of_.at(client), scores);
-    for (const auto& [id, report] : reports_) {
-      if (id == client || !usable(report)) continue;
-      heap.offer(ScoredRef{&id, scores[slot_of_.at(id)]});
-    }
-  } else {
-    std::vector<const std::string*> vetted;
-    std::vector<std::size_t> slots;
-    vetted.reserve(candidates.size());
-    slots.reserve(candidates.size());
-    for (const std::string& candidate : candidates) {
-      if (candidate == client) continue;
-      const auto it = reports_.find(candidate);
-      if (it == reports_.end() || !usable(it->second)) continue;
-      vetted.push_back(&candidate);
-      slots.push_back(slot_of_.at(candidate));
-    }
-    std::vector<double> scores(slots.size());
-    std::size_t touched = 0;
-    engine_.scores_of_subset(slot_of_.at(client), slots, scores, &touched);
-    counters_->similarity_queries.add();
-    counters_->maps_touched.add(touched);
-    for (std::size_t i = 0; i < vetted.size(); ++i) {
-      heap.offer(ScoredRef{vetted[i], scores[i]});
-    }
-  }
-  out.ranked = serving_detail::materialize<RankedNode>(heap.take_sorted());
-  if (out.ranked.empty()) {
-    // Nothing usable to rank against: refuse explicitly rather than
-    // hand back an empty vector indistinguishable from "client gone".
-    out.tier = AnswerTier::kRefused;
-    out.reason = DegradedReason::kNoUsableCandidates;
-    counters_->refused_queries.add();
-    return out;
-  }
-  out.tier = fresh ? AnswerTier::kFresh : AnswerTier::kStale;
-  out.reason = fresh ? DegradedReason::kNone : DegradedReason::kStaleClient;
-  (fresh ? counters_->fresh_answers : counters_->stale_answers).add();
-  return out;
+  return Gather(reader()).top_k(query, k, now, nullptr);
 }
 
 TieredAnswer PositionService::closest_any_tiered(const std::string& client,
                                                  std::size_t k,
                                                  SimTime now) const {
-  return tiered_query(client, {}, /*any=*/true, k, now);
+  return Gather(reader()).closest_any_tiered(client, k, now, nullptr);
 }
 
 TieredAnswer PositionService::closest_tiered(
     const std::string& client, std::span<const std::string> candidates,
     std::size_t k, SimTime now) const {
-  return tiered_query(client, candidates, /*any=*/false, k, now);
-}
-
-std::vector<RankedNode> PositionService::rank_snapshot(
-    std::span<const SnapshotNode> snapshot, std::size_t client_slot,
-    std::span<const double> scores, std::size_t k) const {
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const SnapshotNode& node : snapshot) {
-    // Slots identify nodes uniquely, so this is the scalar paths'
-    // "candidate == client" skip without the string compare.
-    if (node.slot == client_slot) continue;
-    heap.offer(ScoredRef{node.id, scores[node.slot]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
+  return Gather(reader()).closest_tiered(client, candidates, k, now, nullptr);
 }
 
 std::vector<std::vector<RankedNode>> PositionService::closest_batch(
     std::span<const std::string> clients, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  counters_->queries_served.add(clients.size());
-  std::vector<std::vector<RankedNode>> out(clients.size());
-  if (clients.empty()) return out;
-
-  // Shared liveness snapshot: one report-map walk (with one slot lookup
-  // per node) serves the whole batch, where the scalar path pays a map
-  // walk plus a string-hash lookup per node for every single query. The
-  // snapshot is also one consistent membership view — every query of
-  // the batch answers against the same epoch of the corpus.
-  std::vector<SnapshotNode> snapshot;
-  snapshot.reserve(reports_.size());
-  for (const auto& [id, report] : reports_) {
-    if (is_live(report, now)) {
-      snapshot.push_back(SnapshotNode{&id, slot_of_.at(id)});
-    }
-  }
-
-  // Live clients' engine rows; unknown/stale clients keep {} results,
-  // exactly like their scalar queries.
-  std::vector<std::size_t> rows;
-  std::vector<std::size_t> result_at;
-  rows.reserve(clients.size());
-  result_at.reserve(clients.size());
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const auto it = reports_.find(clients[i]);
-    if (it == reports_.end() || !is_live(it->second, now)) continue;
-    rows.push_back(slot_of_.at(clients[i]));
-    result_at.push_back(i);
-  }
-  if (rows.empty()) return out;
-
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  FlatMatrix<double> scores;
-  std::uint64_t touched = 0;
-  engine_.scores_of_batch(rows, scores, &p, &touched);
-  counters_->similarity_queries.add(rows.size());
-  counters_->maps_touched.add(touched);
-
-  p.parallel_for(0, rows.size(), [&](std::size_t j) {
-    out[result_at[j]] = rank_snapshot(snapshot, rows[j], scores.row(j), k);
-  });
-  return out;
+  return Gather(reader()).closest_batch(clients, k, now, pool);
 }
 
 std::vector<std::vector<RankedNode>> PositionService::closest_batch(
     std::span<const std::string> clients,
     std::span<const std::string> candidates, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  counters_->queries_served.add(clients.size());
-  std::vector<std::vector<RankedNode>> out(clients.size());
-  if (clients.empty()) return out;
-
-  // The candidate set is vetted once for the batch. Snapshot ids borrow
-  // the caller's strings; per client only the client itself (matched by
-  // slot) is additionally skipped, as in the scalar path.
-  std::vector<SnapshotNode> snapshot;
-  snapshot.reserve(candidates.size());
-  for (const std::string& candidate : candidates) {
-    const auto it = reports_.find(candidate);
-    if (it == reports_.end() || !is_live(it->second, now)) continue;
-    snapshot.push_back(SnapshotNode{&candidate, slot_of_.at(candidate)});
-  }
-
-  std::vector<std::size_t> rows;
-  std::vector<std::size_t> result_at;
-  rows.reserve(clients.size());
-  result_at.reserve(clients.size());
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const auto it = reports_.find(clients[i]);
-    if (it == reports_.end() || !is_live(it->second, now)) continue;
-    rows.push_back(slot_of_.at(clients[i]));
-    result_at.push_back(i);
-  }
-  if (rows.empty()) return out;
-
-  // Dense batch rows; the scalar path's subset reads are bit-identical
-  // to dense reads at the same slots, so rankings agree byte for byte.
-  // (The engine query also runs when no candidate survived vetting, so
-  // the touched accounting matches the scalar loop's.)
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  FlatMatrix<double> scores;
-  std::uint64_t touched = 0;
-  engine_.scores_of_batch(rows, scores, &p, &touched);
-  counters_->similarity_queries.add(rows.size());
-  counters_->maps_touched.add(touched);
-
-  p.parallel_for(0, rows.size(), [&](std::size_t j) {
-    out[result_at[j]] = rank_snapshot(snapshot, rows[j], scores.row(j), k);
-  });
-  return out;
+  return Gather(reader()).closest_batch(clients, candidates, k, now, pool);
 }
 
 void PositionService::ensure_clustering(SimTime now) {
@@ -626,89 +363,24 @@ void PositionService::ensure_clustering(SimTime now) {
 
 std::vector<std::string> PositionService::same_cluster(
     const std::string& node_id, SimTime now) {
-  counters_->queries_served.add();
-  if (!is_live_id(node_id, now)) return {};
-  ensure_clustering(now);
-  const std::size_t slot = slot_of_.at(node_id);
-  const auto& cluster =
-      clustering_->clusters[clustering_->assignment[slot]];
-  std::vector<std::string> out;
-  for (std::size_t member : cluster.members) {
-    if (member == slot) continue;
-    const std::string& id = nodes_.ids[member];
-    // Tombstoned slots and members whose reports went stale since the
-    // clustering was cached are filtered here, at answer time.
-    if (id.empty() || !is_live_id(id, now)) continue;
-    out.push_back(id);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  // Only a live node's query may refresh the clustering: an unknown or
+  // stale one answers empty without touching the cache.
+  const auto res = reader().resident(node_id, now);
+  if (res.has_value() && res->live) ensure_clustering(now);
+  return reader().same_cluster(node_id, now);
 }
 
 std::unordered_map<std::string, std::size_t>
 PositionService::cluster_assignment(SimTime now) {
-  counters_->queries_served.add();
   ensure_clustering(now);
-  std::unordered_map<std::string, std::size_t> out;
-  for (std::size_t slot = 0; slot < nodes_.ids.size(); ++slot) {
-    const std::string& id = nodes_.ids[slot];
-    if (id.empty() || !is_live_id(id, now)) continue;
-    out[id] = clustering_->assignment[slot];
-  }
-  return out;
+  return reader().cluster_assignment(now);
 }
 
 std::vector<std::string> PositionService::diverse_set(std::size_t n,
                                                       SimTime now,
                                                       std::uint64_t seed) {
-  counters_->queries_served.add();
   ensure_clustering(now);
-
-  // One live representative per cluster, preferring clusters with more
-  // live members (their centers are corroborated positions), in random
-  // order. Clusters with no live member contribute nothing.
-  struct Candidate {
-    std::string id;
-    std::size_t live_members = 0;
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(clustering_->clusters.size());
-  for (const auto& cluster : clustering_->clusters) {
-    Candidate c;
-    bool center_live = false;
-    std::string smallest;
-    for (std::size_t member : cluster.members) {
-      const std::string& id = nodes_.ids[member];
-      if (id.empty() || !is_live_id(id, now)) continue;
-      ++c.live_members;
-      if (member == cluster.center) center_live = true;
-      if (smallest.empty() || id < smallest) smallest = id;
-    }
-    if (c.live_members == 0) continue;
-    // Prefer the center; if it went stale, the lexicographically
-    // smallest live member stands in for it.
-    c.id = center_live ? nodes_.ids[cluster.center] : smallest;
-    candidates.push_back(std::move(c));
-  }
-
-  std::vector<std::size_t> cluster_order(candidates.size());
-  for (std::size_t i = 0; i < cluster_order.size(); ++i) {
-    cluster_order[i] = i;
-  }
-  Rng rng{hash_combine({seed, stable_hash("diverse-set")})};
-  rng.shuffle(cluster_order);
-  std::stable_sort(cluster_order.begin(), cluster_order.end(),
-                   [&candidates](std::size_t a, std::size_t b) {
-                     return candidates[a].live_members >
-                            candidates[b].live_members;
-                   });
-
-  std::vector<std::string> out;
-  for (std::size_t ci : cluster_order) {
-    if (out.size() == n) break;
-    out.push_back(candidates[ci].id);
-  }
-  return out;
+  return reader().diverse_set(n, now, seed);
 }
 
 std::shared_ptr<const ServingSnapshot> PositionService::publish_snapshot(
@@ -789,10 +461,10 @@ std::size_t PositionService::expire(SimTime now) {
   // With the stale tier enabled, reports in the stale-but-usable band
   // survive expiry — they still serve degraded answers. The bound
   // collapses to staleness_bound when the tier is off.
-  const Duration bound = usable_bound();
+  const Duration bound = Liveness{config_}.usable_bound();
   std::vector<std::string> stale;
-  for (const auto& [id, report] : reports_) {
-    if (now - report.when > bound) stale.push_back(id);
+  for (const auto& [id, stored] : reports_) {
+    if (now - stored.report.when > bound) stale.push_back(id);
   }
   std::size_t dropped = 0;
   for (const std::string& id : stale) {

@@ -17,12 +17,13 @@
 // `core::SimilarityEngine` (DESIGN.md §6) as the source of truth for
 // similarity. publish/remove/expire mutate the engine in place
 // (add/update/remove with tombstones + compaction) instead of rebuilding
-// a corpus copy; `closest`/`closest_any` answer from one engine query
-// per request, and `ensure_clustering` feeds `smf_cluster` straight from
-// the engine without recopying a single map. Engine scores are
-// bit-identical to per-pair `similarity()` (the §6 determinism
-// contract), so query answers are byte-for-byte what the naive per-pair
-// implementation produced.
+// a corpus copy; every read answers through the one read path
+// (read_path.hpp) over a ShardReader borrowed from the live members,
+// one engine query per request, and `ensure_clustering` feeds
+// `smf_cluster` straight from the engine without recopying a single
+// map. Engine scores are bit-identical to per-pair `similarity()` (the
+// §6 determinism contract), so query answers are byte-for-byte what the
+// naive per-pair implementation produced.
 //
 // Concurrent serving (DESIGN.md §8): the service stays single-writer —
 // publish/remove/expire and the cluster-cache queries mutate state and
@@ -59,6 +60,7 @@ class ThreadPool;
 namespace crp::service {
 
 class ServingSnapshot;
+class ShardReader;
 
 /// Concurrent-serving snapshot policy (DESIGN.md §8).
 struct SnapshotConfig {
@@ -360,11 +362,10 @@ class PositionService {
 
   // --- batched serving (DESIGN.md §6 "Batched query execution") ---
   /// `closest_any` for a whole batch of clients in one pass: result `i`
-  /// is bit-identical to `closest_any(clients[i], k, now)`. The
-  /// liveness snapshot is taken once and shared by every query — the
-  /// whole batch answers against one consistent membership view — the
-  /// engine runs its tiled multi-query kernel over the clients' corpus
-  /// rows, and the serving counters are updated once for the batch.
+  /// is bit-identical to `closest_any(clients[i], k, now)`. The usable
+  /// nodes are vetted once and shared by every query — the whole batch
+  /// answers against one consistent membership view — and the clients
+  /// rank in parallel chunks across `pool` (nullptr = the shared pool).
   [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
       std::span<const std::string> clients, std::size_t k, SimTime now,
       ThreadPool* pool = nullptr) const;
@@ -455,61 +456,36 @@ class PositionService {
   /// Copies the engine's MutationStats into the atomic mirrors stats()
   /// reads (writer-side, after any engine mutation).
   void sync_engine_stats();
-  [[nodiscard]] bool is_live(const PositionReport& report,
-                             SimTime now) const;
-  [[nodiscard]] bool is_live_id(const std::string& node_id,
-                                SimTime now) const;
-  /// Is the report in the stale-but-usable band (older than the
-  /// staleness bound, within the stale tier)? Always false when the
-  /// stale tier is disabled.
-  [[nodiscard]] bool is_stale_usable(const PositionReport& report,
-                                     SimTime now) const;
-  /// Age bound past which a report is useless even for degraded
-  /// serving (= staleness_bound unless the stale tier extends it).
-  [[nodiscard]] Duration usable_bound() const;
-  /// Shared core of the tiered queries: `candidates` empty means "every
-  /// known node" (the closest_any form).
-  [[nodiscard]] TieredAnswer tiered_query(
-      const std::string& client, std::span<const std::string> candidates,
-      bool any, std::size_t k, SimTime now) const;
-  /// Erases one node from the report map, the engine, and the slot maps.
-  /// Returns whether the node was known. The membership epoch is bumped
-  /// only on an actual drop — an unknown id is a no-op and must not
-  /// invalidate the cached clustering.
+  /// O(1) read access over the live members (see shard_reader.hpp),
+  /// valid until the next write.
+  [[nodiscard]] ShardReader reader() const;
+  /// Erases one node from the report map, the engine, and the node
+  /// table. Returns whether the node was known. The membership epoch is
+  /// bumped only on an actual drop — an unknown id is a no-op and must
+  /// not invalidate the cached clustering.
   bool drop_node(const std::string& node_id);
-  /// One entry of a batch's shared liveness snapshot: a live node and
-  /// its engine slot. The pointed-to id lives in reports_ (or the
-  /// caller's candidate span) and outlives the query.
-  struct SnapshotNode {
-    const std::string* id = nullptr;
-    std::size_t slot = 0;
-  };
-  /// Ranks `snapshot` (minus the client itself) for one client of a
-  /// batch from its dense score row, with the (similarity desc, node_id
-  /// asc) total order shared by every closest path.
-  [[nodiscard]] std::vector<RankedNode> rank_snapshot(
-      std::span<const SnapshotNode> snapshot, std::size_t client_slot,
-      std::span<const double> scores, std::size_t k) const;
-  /// One engine query for `client_slot`'s similarity to the whole
-  /// corpus, with stats accounting. `out` must have engine_.size() slots.
-  void similarity_scores(std::size_t client_slot,
-                         std::span<double> out) const;
   /// Recomputes the cached clustering if membership changed or the cache
   /// aged out. The clustering covers every engine row (stale-but-known
   /// nodes included); answers filter liveness afterwards.
   void ensure_clustering(SimTime now);
 
   ServiceConfig config_;
-  std::unordered_map<std::string, PositionReport> reports_;
+  /// An accepted report and the engine slot it occupies: the one
+  /// id -> slot lookup the writer needs rides on the report lookup it
+  /// makes anyway.
+  struct Stored {
+    PositionReport report;
+    std::size_t slot = 0;
+  };
+  std::unordered_map<std::string, Stored> reports_;
 
   // The similarity corpus. nodes_.ids[slot] is the node occupying an
-  // engine row ("" for tombstoned rows); slot_of_ is the inverse, and
-  // when_[slot] that node's report timestamp (what liveness filters
-  // on). nodes_version_ moves with the node set, when_version_ with any
-  // timestamp; publish_snapshot shares its frozen copies (frozen_*)
-  // while they match.
+  // engine row ("" for tombstoned rows), and when_[slot] that node's
+  // report timestamp (what liveness filters on). nodes_version_ moves
+  // with the node set, when_version_ with any timestamp;
+  // publish_snapshot shares its frozen copies (frozen_*) while they
+  // match.
   core::SimilarityEngine engine_;
-  std::unordered_map<std::string, std::size_t> slot_of_;
   NodeTable nodes_;
   std::vector<SimTime> when_;
   std::uint64_t nodes_version_ = 0;

@@ -1,9 +1,6 @@
-// Ranking helpers shared by PositionService and ServingSnapshot.
-//
-// Both owners rank candidates through the exact same comparator and
-// materialization code — included from one header so the mutable path
-// and the snapshot read path cannot drift apart (the serving-level
-// analogue of core/engine_kernels.hpp). Internal: not part of the
+// Ranking helpers shared by the shard reader (per-shard partials) and
+// the gather (their merge), so both rank through the exact same
+// comparator and materialization code. Internal: not part of the
 // service API.
 #pragma once
 
@@ -27,13 +24,15 @@ struct ScoredRef {
 /// ranks by. Total ⇒ the bounded heap's output is identical to the
 /// stable-sort-then-truncate baseline (duplicate candidates compare
 /// equal both ways and are interchangeable copies) — and independent of
-/// offer order, which is why the snapshot path may iterate its sorted
-/// node table where the mutable path iterates an unordered_map and
-/// still answer byte-for-byte identically.
-inline bool better_ref(const ScoredRef& a, const ScoredRef& b) {
-  if (a.sim != b.sim) return a.sim > b.sim;
-  return *a.id < *b.id;
-}
+/// offer order, which is why per-shard partials can merge in any order
+/// and still answer byte-for-byte identically. A functor type, so the
+/// bounded heap inlines the comparison in the per-node ranking loop.
+struct BetterRef {
+  bool operator()(const ScoredRef& a, const ScoredRef& b) const {
+    if (a.sim != b.sim) return a.sim > b.sim;
+    return *a.id < *b.id;
+  }
+};
 
 /// Copies the k kept winners into owned RankedNodes (templated only so
 /// this header needn't depend on position_service.hpp).

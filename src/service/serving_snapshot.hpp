@@ -12,10 +12,9 @@
 // against the PositionService at the snapshot's membership epoch with
 // the same `now`. The similarity layer holds by the engine-snapshot
 // contract (same kernels, verbatim arrays); the serving layer holds
-// because ranking runs through the exact serving_detail comparator
-// under a *total* order, making results independent of candidate
-// iteration order — the one place this class iterates differently
-// (its sorted node table versus the service's unordered_map).
+// because both answer through the same read path (read_path.hpp) over a
+// ShardReader — the service's borrowed from its live members, this
+// one's from the frozen copies.
 //
 // Liveness is filtered against the caller's `now` per query, exactly
 // like the mutable path — a snapshot does not pin time, only
@@ -34,6 +33,7 @@
 #include "common/time.hpp"
 #include "core/engine_snapshot.hpp"
 #include "service/position_service.hpp"
+#include "service/shard_reader.hpp"
 
 namespace crp {
 class ThreadPool;
@@ -43,10 +43,6 @@ namespace crp::service {
 
 class ServingSnapshot {
  public:
-  /// "No such slot" — the value find()/resident() report for unknown
-  /// ids, and the exclude_slot callers pass when nothing is excluded.
-  static constexpr std::size_t npos = NodeTable::npos;
-
   // --- provenance ---
   /// Membership epoch of the service state this snapshot froze.
   [[nodiscard]] std::uint64_t membership_epoch() const {
@@ -104,91 +100,14 @@ class ServingSnapshot {
                                               std::size_t k,
                                               SimTime now) const;
 
-  // --- scatter/gather partial reads (service/sharded_frontend.hpp) ---
-  //
-  // A sharded front-end answers a query by fetching the client's frozen
-  // row from its owning shard's snapshot (`resident`), asking every
-  // shard snapshot for its local top-k against that row (`partial_*`),
-  // and merging the partials under serving_detail's total order. Row
-  // queries renormalize nothing and pairwise similarity depends only on
-  // the two rows involved, so each partial score is bit-identical to
-  // what one unsharded engine would have produced — which makes the
-  // merged answer bit-identical to the unsharded service's.
-
-  /// A node resident in this shard snapshot: its engine slot, its
-  /// frozen corpus row (valid while the snapshot is held), and its
-  /// freshness at `now`. nullopt when the id is unknown here.
-  struct Resident {
-    std::size_t slot = npos;
-    core::RowView row;
-    bool live = false;
-    bool stale_usable = false;
-  };
+  /// O(1) read access over the frozen members — what a sharded View
+  /// gathers over (valid while the snapshot is held).
+  [[nodiscard]] ShardReader reader() const;
+  /// A node resident in this snapshot: its engine slot, its frozen
+  /// corpus row and its freshness at `now`; nullopt when unknown here.
+  using Resident = ShardReader::Resident;
   [[nodiscard]] std::optional<Resident> resident(const std::string& node_id,
                                                  SimTime now) const;
-
-  /// One candidate surviving this shard's vetting: the caller's id
-  /// string (borrowed) plus its local engine slot.
-  struct Vetted {
-    const std::string* id = nullptr;
-    std::size_t slot = 0;
-  };
-  /// Vets candidates routed to this shard (ShardedFrontend::View routes
-  /// each candidate to its owner only): kept iff resident here and
-  /// usable at `now` (live, or stale-usable when `stale_band` — the
-  /// degraded tier's widened candidate band). Caller order preserved;
-  /// the Vetted ids borrow the pointed-to strings. The client is NOT
-  /// excluded here — its id can only be resident on its owning shard,
-  /// where rank-time slot exclusion removes it, exactly like the
-  /// unsharded batch path.
-  [[nodiscard]] std::vector<Vetted> vet_candidates(
-      std::span<const std::string* const> candidates, bool stale_band,
-      SimTime now) const;
-
-  /// This shard's partial answer to a closest-any query: every resident
-  /// node usable at `now` (minus `exclude_slot` — the client's own slot
-  /// when this is its owning shard, else npos) ranked against the
-  /// external client row, at most k kept.
-  [[nodiscard]] std::vector<RankedNode> partial_closest_any(
-      const core::RowView& client, std::size_t exclude_slot,
-      bool stale_band, std::size_t k, SimTime now) const;
-  /// Candidate-list form over a pre-vetted subset (see vet_candidates).
-  [[nodiscard]] std::vector<RankedNode> partial_closest(
-      const core::RowView& client, std::size_t exclude_slot,
-      std::span<const Vetted> candidates, std::size_t k) const;
-  /// Partial top_k: resident live nodes ranked against an external
-  /// query map (no exclusion — the query is not a node).
-  [[nodiscard]] std::vector<RankedNode> partial_top_k(
-      const core::RatioMap& query, std::size_t k, SimTime now) const;
-
-  /// One client of a cross-shard batch: its frozen row plus where it
-  /// lives, so each shard can exclude it iff it owns it.
-  struct ExternalClient {
-    core::RowView row;
-    std::size_t owner = 0;      // owning shard index
-    std::size_t slot = npos;    // client's slot on the owning shard
-  };
-  /// Batched partial_closest_any: one usable-node sweep and one reused
-  /// score buffer serve every client. `self_shard` is this snapshot's
-  /// shard index (for owner-only exclusion). Result i pairs with
-  /// clients[i].
-  [[nodiscard]] std::vector<std::vector<RankedNode>> partial_closest_batch(
-      std::span<const ExternalClient> clients, std::size_t self_shard,
-      std::size_t k, SimTime now) const;
-  /// Candidate-list form over a pre-vetted subset.
-  [[nodiscard]] std::vector<std::vector<RankedNode>> partial_closest_batch(
-      std::span<const ExternalClient> clients, std::size_t self_shard,
-      std::span<const Vetted> candidates, std::size_t k) const;
-
-  /// Outcome accounting for gathered queries: the front-end decides
-  /// what a scattered query answered, so it bumps queries_served and
-  /// the tier counters here (on the shard owning the client), exactly
-  /// once per front-end query — keeping those counters' aggregate equal
-  /// to an unsharded service's under the same traffic.
-  void count_queries(std::uint64_t n = 1) const {
-    counters_->queries_served.add(n);
-  }
-  void count_outcome(AnswerTier tier) const;
 
   /// Cluster queries: as the service's, but const (the clustering was
   /// computed — or not — at freeze time) and empty when no clustering
@@ -203,42 +122,6 @@ class ServingSnapshot {
  private:
   friend class PositionService;
   ServingSnapshot() = default;
-
-  /// Engine slot of `node_id`, or npos if unknown at freeze time
-  /// (binary search over the by-id index).
-  [[nodiscard]] std::size_t find(const std::string& node_id) const {
-    return nodes_->find(node_id);
-  }
-  [[nodiscard]] const std::string& id_at(std::size_t slot) const {
-    return nodes_->ids[slot];
-  }
-  [[nodiscard]] bool live_at(std::size_t slot, SimTime now) const {
-    return now - (*when_)[slot] <= config_.staleness_bound;
-  }
-  [[nodiscard]] bool stale_usable_at(std::size_t slot, SimTime now) const {
-    const Duration age = now - (*when_)[slot];
-    return config_.stale_usable_bound > config_.staleness_bound &&
-           age > config_.staleness_bound &&
-           age <= config_.stale_usable_bound;
-  }
-  /// One dense engine query with stats accounting (the snapshot twin of
-  /// PositionService::similarity_scores).
-  void similarity_scores(std::size_t client_slot,
-                         std::span<double> out) const;
-  /// Shared core of the tiered queries (the snapshot twin of
-  /// PositionService::tiered_query): `any` means "every known node".
-  [[nodiscard]] TieredAnswer closest_tiered_impl(
-      const std::string& client, std::span<const std::string> candidates,
-      bool any, std::size_t k, SimTime now) const;
-  /// A batch's shared view of one live node (see the service's
-  /// SnapshotNode — same ranking code path).
-  struct NodeRef {
-    const std::string* id = nullptr;
-    std::size_t slot = 0;
-  };
-  [[nodiscard]] std::vector<RankedNode> rank_batch_row(
-      std::span<const NodeRef> nodes, std::size_t client_slot,
-      std::span<const double> scores, std::size_t k) const;
 
   ServiceConfig config_;  // frozen copy: liveness bounds, metric, policy
   std::uint64_t membership_epoch_ = 0;

@@ -1,19 +1,12 @@
 #include "service/sharded_frontend.hpp"
 
 #include <algorithm>
-#include <iterator>
 
-#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "common/top_k.hpp"
-#include "service/serving_detail.hpp"
 #include "service/wire.hpp"
 #include "sim/fault_plan.hpp"
 
 namespace crp::service {
-
-using serving_detail::ScoredRef;
-using serving_detail::better_ref;
 
 const char* to_string(ShardHealth health) {
   switch (health) {
@@ -26,40 +19,6 @@ const char* to_string(ShardHealth health) {
   }
   return "?";
 }
-
-namespace {
-
-/// Merges per-shard top-k partials into the global top-k. Correctness
-/// rests on the total order: any node in the global top-k beats all but
-/// fewer than k others, so in particular fewer than k within its own
-/// shard — it is in its shard's partial. The merge therefore never
-/// misses a winner, and the order makes the result offer-order- (hence
-/// shard-count-) independent.
-std::vector<RankedNode> merge_partials(
-    std::span<const std::vector<RankedNode>> partials, std::size_t k) {
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const std::vector<RankedNode>& partial : partials) {
-    for (const RankedNode& node : partial) {
-      heap.offer(ScoredRef{&node.node_id, node.similarity});
-    }
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
-}
-
-/// Batch form: merges client j's partials across every shard.
-std::vector<RankedNode> merge_client(
-    std::span<const std::vector<std::vector<RankedNode>>> partials,
-    std::size_t j, std::size_t k) {
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const auto& shard_partials : partials) {
-    for (const RankedNode& node : shard_partials[j]) {
-      heap.offer(ScoredRef{&node.node_id, node.similarity});
-    }
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
-}
-
-}  // namespace
 
 ShardedFrontend::ShardedFrontend(ShardedFrontendConfig config)
     : config_(std::move(config)) {
@@ -86,8 +45,7 @@ ShardedFrontend::ShardedFrontend(ShardedFrontendConfig config)
 
 std::size_t ShardedFrontend::shard_index(std::string_view node_id,
                                          std::size_t shard_count) {
-  if (shard_count <= 1) return 0;
-  return static_cast<std::size_t>(stable_hash(node_id) % shard_count);
+  return service::shard_index(node_id, shard_count);
 }
 
 // --- fault machinery (inert while plan_ == nullptr) ---
@@ -454,10 +412,8 @@ ShardedFrontend::View ShardedFrontend::view() const {
   View v;
   v.snaps_.reserve(shards_.size());
   v.epochs_.reserve(shards_.size());
+  v.readers_.reserve(shards_.size());
   v.health_.reserve(shards_.size());
-  v.usable_bound_ =
-      std::max(config_.service.staleness_bound,
-               config_.service.stale_usable_bound);
   v.counters_ = health_counters_;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     std::uint8_t h = static_cast<std::uint8_t>(ShardHealth::kClosed);
@@ -476,6 +432,7 @@ ShardedFrontend::View ShardedFrontend::view() const {
     }
     if (snap == nullptr) snap = shards_[s]->snapshot();
     v.epochs_.push_back(snap->membership_epoch());
+    v.readers_.push_back(snap->reader());
     v.snaps_.push_back(std::move(snap));
     v.health_.push_back(h);
   }
@@ -489,7 +446,8 @@ ShardCompleteness ShardedFrontend::View::completeness(SimTime now) const {
   for (std::size_t s = 0; s < n; ++s) {
     if (static_cast<ShardHealth>(health_[s]) == ShardHealth::kClosed) {
       ++c.shards_answered;
-    } else if (now - snaps_[s]->frozen_at() <= usable_bound_) {
+    } else if (now - snaps_[s]->frozen_at() <=
+               readers_[s].liveness().usable_bound()) {
       // The fallback is within the stale-usable window: the shard
       // answers, flagged, from its last-known-good capture.
       ++c.shards_answered;
@@ -505,15 +463,6 @@ std::size_t ShardedFrontend::View::shard_of(std::string_view node_id) const {
   return shard_index(node_id, snaps_.size());
 }
 
-std::vector<std::vector<const std::string*>> ShardedFrontend::View::route(
-    std::span<const std::string> candidates) const {
-  std::vector<std::vector<const std::string*>> routed(snaps_.size());
-  for (const std::string& candidate : candidates) {
-    routed[shard_of(candidate)].push_back(&candidate);
-  }
-  return routed;
-}
-
 std::size_t ShardedFrontend::View::size() const {
   std::size_t total = 0;
   for (const auto& snap : snaps_) total += snap->size();
@@ -522,206 +471,42 @@ std::size_t ShardedFrontend::View::size() const {
 
 std::vector<std::string> ShardedFrontend::View::live_nodes(
     SimTime now) const {
-  // Disjoint partitions, each already sorted per the live_nodes
-  // contract — pairwise merges keep the union sorted.
-  std::vector<std::string> merged;
-  for (const auto& snap : snaps_) {
-    std::vector<std::string> part = snap->live_nodes(now);
-    if (merged.empty()) {
-      merged = std::move(part);
-      continue;
-    }
-    std::vector<std::string> next;
-    next.reserve(merged.size() + part.size());
-    std::merge(std::make_move_iterator(merged.begin()),
-               std::make_move_iterator(merged.end()),
-               std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()),
-               std::back_inserter(next));
-    merged = std::move(next);
-  }
-  return merged;
+  return Gather(readers_).live_nodes(now);
 }
 
 std::vector<RankedNode> ShardedFrontend::View::closest_any(
     const std::string& client, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
-  if (n == 1) return snaps_[0]->closest_any(client, k, now);
-  const std::size_t owner = shard_of(client);
-  snaps_[owner]->count_queries();
-  const auto res = snaps_[owner]->resident(client, now);
-  if (!res.has_value() || !res->live) return {};
-  std::vector<std::vector<RankedNode>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    partials[s] = snaps_[s]->partial_closest_any(
-        res->row, s == owner ? res->slot : ServingSnapshot::npos,
-        /*stale_band=*/false, k, now);
-  });
-  return merge_partials(partials, k);
+  return Gather(readers_).closest_any(client, k, now, pool);
 }
 
 std::vector<RankedNode> ShardedFrontend::View::closest(
     const std::string& client, std::span<const std::string> candidates,
     std::size_t k, SimTime now, ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
-  if (n == 1) return snaps_[0]->closest(client, candidates, k, now);
-  const std::size_t owner = shard_of(client);
-  snaps_[owner]->count_queries();
-  const auto res = snaps_[owner]->resident(client, now);
-  if (!res.has_value() || !res->live) return {};
-  const auto routed = route(candidates);
-  std::vector<std::vector<RankedNode>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    const auto vetted =
-        snaps_[s]->vet_candidates(routed[s], /*stale_band=*/false, now);
-    partials[s] = snaps_[s]->partial_closest(
-        res->row, s == owner ? res->slot : ServingSnapshot::npos, vetted, k);
-  });
-  return merge_partials(partials, k);
-}
-
-TieredAnswer ShardedFrontend::View::tiered_query(
-    const std::string& client, std::span<const std::string> candidates,
-    bool any, std::size_t k, SimTime now, ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
-  if (n == 1) {
-    return any ? snaps_[0]->closest_any_tiered(client, k, now)
-               : snaps_[0]->closest_tiered(client, candidates, k, now);
-  }
-  const std::size_t owner = shard_of(client);
-  snaps_[owner]->count_queries();
-  TieredAnswer out;
-  const auto res = snaps_[owner]->resident(client, now);
-  if (!res.has_value()) {
-    out.reason = DegradedReason::kUnknownClient;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
-    return out;
-  }
-  const bool fresh = res->live;
-  if (!fresh && !res->stale_usable) {
-    out.reason = DegradedReason::kClientExpired;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
-    return out;
-  }
-  const bool stale_band = !fresh;
-  const auto routed = route(candidates);  // empty when `any`
-  std::vector<std::vector<RankedNode>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    const std::size_t exclude =
-        s == owner ? res->slot : ServingSnapshot::npos;
-    if (any) {
-      partials[s] = snaps_[s]->partial_closest_any(res->row, exclude,
-                                                   stale_band, k, now);
-    } else {
-      const auto vetted =
-          snaps_[s]->vet_candidates(routed[s], stale_band, now);
-      partials[s] =
-          snaps_[s]->partial_closest(res->row, exclude, vetted, k);
-    }
-  });
-  out.ranked = merge_partials(partials, k);
-  if (out.ranked.empty()) {
-    out.tier = AnswerTier::kRefused;
-    out.reason = DegradedReason::kNoUsableCandidates;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
-    return out;
-  }
-  out.tier = fresh ? AnswerTier::kFresh : AnswerTier::kStale;
-  out.reason = fresh ? DegradedReason::kNone : DegradedReason::kStaleClient;
-  snaps_[owner]->count_outcome(out.tier);
-  return out;
+  return Gather(readers_).closest(client, candidates, k, now, pool);
 }
 
 TieredAnswer ShardedFrontend::View::closest_any_tiered(
     const std::string& client, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  return tiered_query(client, {}, /*any=*/true, k, now, pool);
+  return Gather(readers_).closest_any_tiered(client, k, now, pool);
 }
 
 TieredAnswer ShardedFrontend::View::closest_tiered(
     const std::string& client, std::span<const std::string> candidates,
     std::size_t k, SimTime now, ThreadPool* pool) const {
-  return tiered_query(client, candidates, /*any=*/false, k, now, pool);
+  return Gather(readers_).closest_tiered(client, candidates, k, now, pool);
 }
 
-GatheredAnswer ShardedFrontend::View::gathered_query(
+GatheredAnswer ShardedFrontend::View::gathered(
     const std::string& client, std::span<const std::string> candidates,
     bool any, std::size_t k, SimTime now, ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
   GatheredAnswer out;
   out.completeness = completeness(now);
-  std::vector<char> missing(n, 0);
-  for (const std::size_t s : out.completeness.missing_shards) {
-    missing[s] = 1;
-  }
-  const std::size_t owner = shard_of(client);
-  snaps_[owner]->count_queries();
-  if (missing[owner] != 0) {
-    // Nothing left that knows the client: its shard is down and the
-    // fallback aged out. Typed refusal, not an empty vector — the
-    // caller can tell "retry after recovery" from "node gone".
-    out.tiered.reason = DegradedReason::kShardUnavailable;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
-    return out;
-  }
-  const auto res = snaps_[owner]->resident(client, now);
-  if (!res.has_value()) {
-    out.tiered.reason = DegradedReason::kUnknownClient;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
-    return out;
-  }
-  const bool fresh = res->live;
-  if (!fresh && !res->stale_usable) {
-    out.tiered.reason = DegradedReason::kClientExpired;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
-    return out;
-  }
-  // Scatter over the answering shards. A stale-fallback shard widens to
-  // the stale band (its capture is old; its stale-but-usable reports
-  // are the whole point of serving it); missing shards contribute
-  // nothing. On an all-healthy view this is tiered_query verbatim.
-  const auto routed = route(candidates);  // empty when `any`
-  std::vector<std::vector<RankedNode>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    if (missing[s] != 0) return;
-    const bool stale_band = !fresh || out.completeness.stale_shards[s];
-    const std::size_t exclude =
-        s == owner ? res->slot : ServingSnapshot::npos;
-    if (any) {
-      partials[s] = snaps_[s]->partial_closest_any(res->row, exclude,
-                                                   stale_band, k, now);
-    } else {
-      const auto vetted =
-          snaps_[s]->vet_candidates(routed[s], stale_band, now);
-      partials[s] = snaps_[s]->partial_closest(res->row, exclude, vetted, k);
-    }
-  });
-  out.tiered.ranked = merge_partials(partials, k);
-  if (out.tiered.ranked.empty()) {
-    out.tiered.tier = AnswerTier::kRefused;
-    out.tiered.reason = DegradedReason::kNoUsableCandidates;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
-    return out;
-  }
-  const bool used_stale_shard = out.completeness.any_stale();
-  if (!fresh) {
-    out.tiered.tier = AnswerTier::kStale;
-    out.tiered.reason = DegradedReason::kStaleClient;
-  } else if (used_stale_shard) {
-    out.tiered.tier = AnswerTier::kStale;
-    out.tiered.reason = DegradedReason::kStaleShard;
-  } else {
-    out.tiered.tier = AnswerTier::kFresh;
-    out.tiered.reason = DegradedReason::kNone;
-  }
-  snaps_[owner]->count_outcome(out.tiered.tier);
-  if (counters_ != nullptr) {
-    if (used_stale_shard) {
+  out.tiered = Gather(readers_).tiered(client, candidates, any, k, now,
+                                       out.completeness, pool);
+  if (out.tiered.answered() && counters_ != nullptr) {
+    if (out.completeness.any_stale()) {
       counters_->degraded_answers.fetch_add(1, std::memory_order_relaxed);
     }
     if (!out.completeness.complete()) {
@@ -734,110 +519,32 @@ GatheredAnswer ShardedFrontend::View::gathered_query(
 GatheredAnswer ShardedFrontend::View::closest_any_gathered(
     const std::string& client, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  return gathered_query(client, {}, /*any=*/true, k, now, pool);
+  return gathered(client, {}, /*any=*/true, k, now, pool);
 }
 
 GatheredAnswer ShardedFrontend::View::closest_gathered(
     const std::string& client, std::span<const std::string> candidates,
     std::size_t k, SimTime now, ThreadPool* pool) const {
-  return gathered_query(client, candidates, /*any=*/false, k, now, pool);
+  return gathered(client, candidates, /*any=*/false, k, now, pool);
 }
 
 std::vector<RankedNode> ShardedFrontend::View::top_k(
     const core::RatioMap& query, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
-  if (n == 1) return snaps_[0]->top_k(query, k, now);
-  // The query owns no corpus row, so there is no owning shard; the
-  // query itself counts on shard 0 (the partials' similarity work
-  // counts on the shard that did it, as everywhere).
-  snaps_[0]->count_queries();
-  std::vector<std::vector<RankedNode>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    partials[s] = snaps_[s]->partial_top_k(query, k, now);
-  });
-  return merge_partials(partials, k);
+  return Gather(readers_).top_k(query, k, now, pool);
 }
 
 std::vector<std::vector<RankedNode>> ShardedFrontend::View::closest_batch(
     std::span<const std::string> clients, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
-  if (n == 1) return snaps_[0]->closest_batch(clients, k, now, pool);
-  std::vector<std::vector<RankedNode>> out(clients.size());
-  std::vector<std::uint64_t> counts(n, 0);
-  std::vector<ServingSnapshot::ExternalClient> ext;
-  std::vector<std::size_t> result_at;
-  ext.reserve(clients.size());
-  result_at.reserve(clients.size());
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const std::size_t owner = shard_of(clients[i]);
-    ++counts[owner];
-    const auto res = snaps_[owner]->resident(clients[i], now);
-    if (!res.has_value() || !res->live) continue;
-    ext.push_back(
-        ServingSnapshot::ExternalClient{res->row, owner, res->slot});
-    result_at.push_back(i);
-  }
-  for (std::size_t s = 0; s < n; ++s) {
-    if (counts[s] != 0) snaps_[s]->count_queries(counts[s]);
-  }
-  if (ext.empty()) return out;
-  // Scatter: one task per shard ranks every eligible client against its
-  // partition (parallelism = shard count, the deployment's real
-  // topology — one process per shard); gather: per-client merges fan
-  // out over the same pool.
-  std::vector<std::vector<std::vector<RankedNode>>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    partials[s] = snaps_[s]->partial_closest_batch(ext, s, k, now);
-  });
-  p.parallel_for(0, ext.size(), [&](std::size_t j) {
-    out[result_at[j]] = merge_client(partials, j, k);
-  });
-  return out;
+  return Gather(readers_).closest_batch(clients, k, now, pool);
 }
 
 std::vector<std::vector<RankedNode>> ShardedFrontend::View::closest_batch(
     std::span<const std::string> clients,
     std::span<const std::string> candidates, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
-  if (n == 1) {
-    return snaps_[0]->closest_batch(clients, candidates, k, now, pool);
-  }
-  std::vector<std::vector<RankedNode>> out(clients.size());
-  std::vector<std::uint64_t> counts(n, 0);
-  std::vector<ServingSnapshot::ExternalClient> ext;
-  std::vector<std::size_t> result_at;
-  ext.reserve(clients.size());
-  result_at.reserve(clients.size());
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const std::size_t owner = shard_of(clients[i]);
-    ++counts[owner];
-    const auto res = snaps_[owner]->resident(clients[i], now);
-    if (!res.has_value() || !res->live) continue;
-    ext.push_back(
-        ServingSnapshot::ExternalClient{res->row, owner, res->slot});
-    result_at.push_back(i);
-  }
-  for (std::size_t s = 0; s < n; ++s) {
-    if (counts[s] != 0) snaps_[s]->count_queries(counts[s]);
-  }
-  if (ext.empty()) return out;
-  const auto routed = route(candidates);
-  std::vector<std::vector<std::vector<RankedNode>>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    const auto vetted =
-        snaps_[s]->vet_candidates(routed[s], /*stale_band=*/false, now);
-    partials[s] = snaps_[s]->partial_closest_batch(ext, s, vetted, k);
-  });
-  p.parallel_for(0, ext.size(), [&](std::size_t j) {
-    out[result_at[j]] = merge_client(partials, j, k);
-  });
-  return out;
+  return Gather(readers_).closest_batch(clients, candidates, k, now, pool);
 }
 
 // --- frontend convenience wrappers (one View capture each) ---

@@ -16,15 +16,10 @@
 //   * Reads scatter/gather: a View acquires every shard's published
 //     snapshot — in shard order, recording each snapshot's membership
 //     epoch into a cross-shard epoch vector — then answers from exactly
-//     those snapshots. The client's frozen corpus row comes from its
-//     owning shard; every shard scores that row against its own
-//     partition (bit-identical to one unsharded engine, because row
-//     queries renormalize nothing and pairwise similarity sees only the
-//     two rows involved); per-shard top-k partials merge under
-//     serving_detail's (similarity desc, id asc) total order. Under a
-//     total order the global top-k is a subset of the union of per-shard
-//     top-k's, so the merged answer is bit-identical to a single
-//     unsharded PositionService over the same corpus.
+//     those snapshots, through the one read path (read_path.hpp) over
+//     one ShardReader per snapshot. The merged answer is bit-identical
+//     to a single unsharded PositionService over the same corpus, which
+//     answers through the same code at n = 1.
 //
 // Epoch vector: View::epochs() is the membership epoch each shard's
 // snapshot froze. Callers pin a View to answer several queries from one
@@ -62,7 +57,9 @@
 #include "common/time.hpp"
 #include "core/ratio_map.hpp"
 #include "service/position_service.hpp"
+#include "service/read_path.hpp"
 #include "service/serving_snapshot.hpp"
+#include "service/shard_reader.hpp"
 
 namespace crp {
 class ThreadPool;
@@ -118,31 +115,6 @@ enum class ShardHealth : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(ShardHealth health);
-
-/// Per-shard completeness of a gathered answer: which shards actually
-/// contributed, and on what terms. The reader's contract: `complete()`
-/// and no stale flags = the answer is exactly the healthy frontend's;
-/// stale flags = complete but shards {i} answered from their last-known
-/// fallback snapshot; `missing_shards` nonempty = partial (those
-/// partitions are invisible to this answer).
-struct ShardCompleteness {
-  /// Shards that contributed (fresh or via stale fallback).
-  std::size_t shards_answered = 0;
-  /// Shards excluded entirely (failed, fallback older than the usable
-  /// bound), ascending.
-  std::vector<std::size_t> missing_shards;
-  /// stale_shards[s]: shard s answered from a failed shard's fallback
-  /// snapshot (one flag per shard, parallel to the epoch vector).
-  std::vector<bool> stale_shards;
-
-  [[nodiscard]] bool complete() const { return missing_shards.empty(); }
-  [[nodiscard]] bool any_stale() const {
-    for (const bool s : stale_shards) {
-      if (s) return true;
-    }
-    return false;
-  }
-};
 
 /// A tiered answer plus the per-shard completeness vector it was
 /// gathered under — the fault-aware query result (DESIGN.md §9).
@@ -268,29 +240,18 @@ class ShardedFrontend {
     friend class ShardedFrontend;
     View() = default;
 
-    /// Shared core of the tiered queries (`any` = every known node).
-    [[nodiscard]] TieredAnswer tiered_query(
+    /// The gathered queries' wrapper: the tiered core under
+    /// completeness(now), plus the degraded/partial accounting.
+    [[nodiscard]] GatheredAnswer gathered(
         const std::string& client, std::span<const std::string> candidates,
         bool any, std::size_t k, SimTime now, ThreadPool* pool) const;
-    /// Shared core of the gathered queries.
-    [[nodiscard]] GatheredAnswer gathered_query(
-        const std::string& client, std::span<const std::string> candidates,
-        bool any, std::size_t k, SimTime now, ThreadPool* pool) const;
-    /// Routes each candidate to its owning shard (shard_of, once per
-    /// candidate), caller order kept per shard. A node can only be
-    /// resident on its owner — the partitioning invariant — so vetting
-    /// shard s's list alone finds exactly what searching every
-    /// candidate on s did, at 1/shards of the lookups.
-    [[nodiscard]] std::vector<std::vector<const std::string*>> route(
-        std::span<const std::string> candidates) const;
 
     std::vector<std::shared_ptr<const ServingSnapshot>> snaps_;
+    /// One reader per captured snapshot, valid while snaps_ holds them.
+    std::vector<ShardReader> readers_;
     std::vector<std::uint64_t> epochs_;
     /// ShardHealth per shard at capture (uint8_t to stay vector-packed).
     std::vector<std::uint8_t> health_;
-    /// max(staleness_bound, stale_usable_bound) of the shard config —
-    /// how old a failed shard's fallback may be and still answer.
-    Duration usable_bound_{0};
     /// Shared with the owning frontend so degraded/partial accounting
     /// survives a View outliving it.
     std::shared_ptr<FrontendHealthCounters> counters_;

@@ -233,7 +233,8 @@ TEST_P(SubsetAndRowViewTest, SubsetScoresMatchDenseReads) {
     std::size_t dense_touched = 0;
     std::size_t subset_touched = 0;
     engine.scores(query, dense, &dense_touched);
-    engine.scores_subset(query, subset, got, &subset_touched);
+    engine_detail::subset_scores(engine.view(), engine_detail::as_query(query),
+                                 subset, got, &subset_touched);
     EXPECT_EQ(subset_touched, dense_touched);
     for (std::size_t i = 0; i < subset.size(); ++i) {
       EXPECT_EQ(got[i], dense[subset[i]]) << "subset pos " << i;
@@ -242,7 +243,8 @@ TEST_P(SubsetAndRowViewTest, SubsetScoresMatchDenseReads) {
   // Corpus row as query.
   for (const std::size_t row : {std::size_t{0}, std::size_t{8}}) {
     engine.scores_of(row, dense);
-    engine.scores_of_subset(row, subset, got);
+    engine_detail::subset_scores(engine.view(), engine.row_view(row), subset,
+                                 got, nullptr);
     for (std::size_t i = 0; i < subset.size(); ++i) {
       EXPECT_EQ(got[i], dense[subset[i]]) << "row " << row << " pos " << i;
     }
@@ -330,6 +332,9 @@ TEST(SimilarityEngineTest, BestMatchOnEmptyEngineIsNullopt) {
 }
 
 TEST(SimilarityEngineTest, ScoresManyMatchesPerQueryAcrossPools) {
+  // Many scalar queries answered concurrently on one engine (each on a
+  // thread-local accumulator) equal the per-pair similarity() matrix,
+  // whatever the pool.
   Rng rng{86};
   const auto corpus = random_corpus(rng, 60, 32);
   const auto queries = random_corpus(rng, 25, 32);
@@ -337,15 +342,20 @@ TEST(SimilarityEngineTest, ScoresManyMatchesPerQueryAcrossPools) {
 
   FlatMatrix<double> expected(queries.size(), engine.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    engine.scores(queries[q], expected.row(q));
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      expected(q, i) = similarity(SimilarityKind::kCosine, queries[q],
+                                  corpus[i]);
+    }
   }
-  ThreadPool inline_pool{0};
-  EXPECT_EQ(engine.scores_many(queries, &inline_pool), expected);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t threads :
+       {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
     ThreadPool pool{threads};
-    EXPECT_EQ(engine.scores_many(queries, &pool), expected) << threads;
+    FlatMatrix<double> got(queries.size(), engine.size());
+    pool.parallel_for(0, queries.size(), [&](std::size_t q) {
+      engine.scores(queries[q], got.row(q));
+    });
+    EXPECT_EQ(got, expected) << threads;
   }
-  EXPECT_EQ(engine.scores_many(queries), expected);  // shared pool
 }
 
 TEST(SimilarityEngineTest, SmfClusterMatchesReferenceImplementation) {
@@ -663,29 +673,25 @@ TEST_P(EngineSnapshotTest, FreezeMatchesMutableEngineBitForBit) {
       EXPECT_EQ(engine.scores_of(i), snap->scores_of(i));
     }
     if (!live_slots.empty()) {
-      // Subset and batch forms across pool sizes (0 = inline).
-      for (const std::size_t threads : {0, 4}) {
-        ThreadPool pool{threads};
-        FlatMatrix<double> got;
-        FlatMatrix<double> want;
-        std::uint64_t got_touched = 0;
-        std::uint64_t want_touched = 0;
-        engine.scores_of_batch(live_slots, want, &pool, &want_touched);
-        snap->scores_of_batch(live_slots, got, &pool, &got_touched);
+      // Row queries with their touched accounting, and the subset kernel
+      // over both storage owners.
+      for (const std::size_t slot : live_slots) {
+        std::vector<double> got(snap->size());
+        std::vector<double> want(engine.size());
+        std::size_t got_touched = 0;
+        std::size_t want_touched = 0;
+        engine.scores_of(slot, want, &want_touched);
+        snap->scores_of(slot, got, &got_touched);
         EXPECT_EQ(got_touched, want_touched);
-        for (std::size_t r = 0; r < live_slots.size(); ++r) {
-          const auto gr = got.row(r);
-          const auto wr = want.row(r);
-          ASSERT_EQ(gr.size(), wr.size());
-          for (std::size_t cc = 0; cc < gr.size(); ++cc) {
-            EXPECT_EQ(gr[cc], wr[cc]);
-          }
-        }
+        EXPECT_EQ(got, want);
       }
       std::vector<double> sub_engine(live_slots.size());
       std::vector<double> sub_snap(live_slots.size());
-      engine.scores_of_subset(live_slots[0], live_slots, sub_engine);
-      snap->scores_of_subset(live_slots[0], live_slots, sub_snap);
+      engine_detail::subset_scores(engine.view(),
+                                   engine.row_view(live_slots[0]), live_slots,
+                                   sub_engine, nullptr);
+      engine_detail::subset_scores(snap->view(), snap->row_view(live_slots[0]),
+                                   live_slots, sub_snap, nullptr);
       EXPECT_EQ(sub_engine, sub_snap);
       EXPECT_EQ(engine.best_match(engine.row_view(live_slots[0])),
                 snap->best_match(snap->row_view(live_slots[0])));
@@ -871,9 +877,9 @@ TEST_P(EngineSnapshotTest, SnapshotSurvivesChurnCompactionAndClear) {
           EXPECT_EQ(snap.strongest_mapping(i), reference.strongest_mapping(i));
           EXPECT_EQ(snap.scores_of(i), reference.scores_of(i));
         }
-        ThreadPool pool{2};
-        EXPECT_EQ(snap.topk_batch(queries, 4, &pool),
-                  reference.topk_batch(queries, 4, &pool));
+        for (const auto& q : queries) {
+          EXPECT_EQ(snap.top_k(q, 4), reference.top_k(q, 4));
+        }
       }
     };
     check();
