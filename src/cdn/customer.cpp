@@ -4,10 +4,6 @@
 
 namespace crp::cdn {
 
-bool Customer::serves(ReplicaId id) const {
-  return std::binary_search(replica_subset.begin(), replica_subset.end(), id);
-}
-
 CustomerCatalog CustomerCatalog::build(const Deployment& deployment,
                                        const CustomerCatalogConfig& config) {
   CustomerCatalog catalog;
@@ -37,6 +33,8 @@ CustomerCatalog CustomerCatalog::build(const Deployment& deployment,
     c.replica_subset.reserve(indices.size());
     for (std::size_t idx : indices) c.replica_subset.push_back(edge[idx]);
     std::sort(c.replica_subset.begin(), c.replica_subset.end());
+    c.serves_bits.assign(deployment.size(), false);
+    for (ReplicaId id : c.replica_subset) c.serves_bits[id.index()] = true;
 
     catalog.customers_.push_back(std::move(c));
   }

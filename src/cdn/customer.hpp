@@ -27,11 +27,16 @@ struct Customer {
   dns::Name cdn_name;
   /// Replica IDs this customer's content is served from. Sorted.
   std::vector<ReplicaId> replica_subset;
+  /// `replica_subset` as a bitmap indexed by replica id, sized to the
+  /// deployment (built alongside it by `CustomerCatalog::build`).
+  std::vector<bool> serves_bits;
   /// A records returned per answer (Akamai classically returns two).
   int answer_count = 2;
 
-  /// O(log n) membership test against the sorted subset.
-  [[nodiscard]] bool serves(ReplicaId id) const;
+  /// O(1) membership test; false for ids outside the deployment.
+  [[nodiscard]] bool serves(ReplicaId id) const {
+    return id.index() < serves_bits.size() && serves_bits[id.index()];
+  }
 };
 
 struct CustomerCatalogConfig {

@@ -1,6 +1,5 @@
 #include "cdn/measurement.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -12,15 +11,14 @@ MeasurementSystem::MeasurementSystem(const netsim::LatencyOracle& oracle,
 
 double MeasurementSystem::estimate_ms(HostId resolver, HostId replica_host,
                                       SimTime t) const {
-  const std::int64_t epoch =
-      t.micros() / std::max<std::int64_t>(1, config_.refresh.micros());
+  const std::int64_t refresh_epoch = epoch(t);
   // The estimate was taken at the start of the epoch...
-  const SimTime sample_time{epoch * config_.refresh.micros()};
+  const SimTime sample_time{refresh_epoch * config_.refresh.micros()};
   const double true_rtt = oracle_->rtt_ms(resolver, replica_host, sample_time);
   // ...with measurement noise frozen for the epoch.
   const std::uint64_t h = hash_combine(
       {config_.seed, stable_hash("cdn-measure"), resolver.value(),
-       replica_host.value(), static_cast<std::uint64_t>(epoch)});
+       replica_host.value(), static_cast<std::uint64_t>(refresh_epoch)});
   double u1 = hash_to_unit(h);
   const double u2 = hash_to_unit(hash_mix(h ^ 0xdeadbeefULL));
   if (u1 <= 1e-12) u1 = 1e-12;

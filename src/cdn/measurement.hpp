@@ -8,6 +8,7 @@
 // the whole subsystem stateless and deterministic.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/ids.hpp"
@@ -35,6 +36,12 @@ class MeasurementSystem {
   /// replica host, in milliseconds.
   [[nodiscard]] double estimate_ms(HostId resolver, HostId replica_host,
                                    SimTime t) const;
+
+  /// Refresh epoch containing `t`. Two times in the same epoch get the
+  /// same `estimate_ms` for every pair, so callers may memoize on it.
+  [[nodiscard]] std::int64_t epoch(SimTime t) const {
+    return t.micros() / std::max<std::int64_t>(1, config_.refresh.micros());
+  }
 
   [[nodiscard]] const MeasurementConfig& config() const { return config_; }
 

@@ -1,7 +1,9 @@
 #include "cdn/redirection.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
@@ -63,6 +65,34 @@ std::int64_t epoch_index(SimTime t, Duration epoch) {
   return t.micros() / std::max<std::int64_t>(1, epoch.micros());
 }
 
+// --- per-thread estimate memo -----------------------------------------
+//
+// A CRP probe resolves every customer name through one resolver at one
+// instant, so its `select` calls rank mostly the same candidates by the
+// same (resolver, replica, measurement-epoch) estimate. The memo keeps
+// one resolver's estimates for one measurement epoch, aligned with
+// `candidates(resolver)` and filled lazily (NaN = not yet computed): it
+// never computes an estimate the memo-less code would not, and values are
+// only ever copied out of `MeasurementSystem::estimate_ms`, which is a
+// pure function of the epoch — so it is result-neutral by construction.
+// Per thread like the oracle's pair cache: no sharing, no locks.
+struct EstimateMemo {
+  std::uint64_t policy_id = 0;  // 0 = empty (policy ids start at 1)
+  HostId resolver;
+  std::int64_t epoch = 0;
+  std::vector<double> estimates;
+  // Per-call scratch, kept here so `select` allocates only its answer.
+  std::vector<std::pair<double, ReplicaId>> ranked;
+  std::vector<double> weights;
+};
+
+EstimateMemo& estimate_memo() {
+  thread_local EstimateMemo memo;
+  return memo;
+}
+
+std::atomic<std::uint64_t> g_next_policy_id{1};
+
 }  // namespace
 
 void RedirectionPolicy::prepare(std::span<const HostId> /*resolvers*/,
@@ -75,7 +105,17 @@ LatencyDrivenPolicy::LatencyDrivenPolicy(const netsim::LatencyOracle& oracle,
     : oracle_(&oracle),
       deployment_(&deployment),
       measurement_(&measurement),
-      config_(config) {}
+      config_(config),
+      policy_id_(g_next_policy_id.fetch_add(1, std::memory_order_relaxed)) {
+  // No ranking is longer than the candidate list, so no rotation draws
+  // from a rank past candidate_pool.
+  rank_weights_.resize(
+      std::min(config_.rotation_pool, config_.candidate_pool));
+  for (std::size_t i = 0; i < rank_weights_.size(); ++i) {
+    rank_weights_[i] =
+        std::pow(1.0 + static_cast<double>(i), -config_.rank_exponent);
+  }
+}
 
 std::vector<ReplicaId> LatencyDrivenPolicy::nearest_for(
     HostId resolver) const {
@@ -105,15 +145,31 @@ std::vector<ReplicaId> LatencyDrivenPolicy::select(HostId resolver,
   if (count <= 0) return {};
 
   // Candidates near this resolver that also serve this customer, ranked
-  // by the measurement subsystem's *current* estimate.
-  std::vector<std::pair<double, ReplicaId>> ranked;
-  for (ReplicaId id : candidates(resolver)) {
+  // by the measurement subsystem's *current* estimate. Health and
+  // customer filtering come first: neither changes an estimate.
+  const std::vector<ReplicaId>& near = candidates(resolver);
+  EstimateMemo& memo = estimate_memo();
+  const std::int64_t measure_epoch = measurement_->epoch(now);
+  if (memo.policy_id != policy_id_ || memo.resolver != resolver ||
+      memo.epoch != measure_epoch) {
+    memo.policy_id = policy_id_;
+    memo.resolver = resolver;
+    memo.epoch = measure_epoch;
+    memo.estimates.assign(near.size(),
+                          std::numeric_limits<double>::quiet_NaN());
+  }
+  std::vector<std::pair<double, ReplicaId>>& ranked = memo.ranked;
+  ranked.clear();
+  for (std::size_t i = 0; i < near.size(); ++i) {
+    const ReplicaId id = near[i];
     if (!customer.serves(id)) continue;
     if (health_ != nullptr && !health_->available(id, now)) continue;
-    ranked.emplace_back(
-        measurement_->estimate_ms(resolver, deployment_->replica(id).host,
-                                  now),
-        id);
+    double& estimate = memo.estimates[i];
+    if (std::isnan(estimate)) {
+      estimate = measurement_->estimate_ms(
+          resolver, deployment_->replica(id).host, now);
+    }
+    ranked.emplace_back(estimate, id);
   }
   std::sort(ranked.begin(), ranked.end());
 
@@ -158,16 +214,13 @@ std::vector<ReplicaId> LatencyDrivenPolicy::select(HostId resolver,
   // Rotation: draw `count` distinct replicas from the top of the ranking,
   // weighted toward the best. This is the load-balancing rotation that
   // turns redirections into frequency distributions (ratio maps).
-  const std::size_t pool = std::min(config_.rotation_pool, ranked.size());
-  std::vector<double> weights(pool);
-  for (std::size_t i = 0; i < pool; ++i) {
-    weights[i] =
-        std::pow(1.0 + static_cast<double>(i), -config_.rank_exponent);
-  }
+  const std::size_t pool = std::min(rank_weights_.size(), ranked.size());
   std::vector<ReplicaId> out;
   const auto want =
       std::min<std::size_t>(static_cast<std::size_t>(count), pool);
-  std::vector<double> w = weights;
+  std::vector<double>& w = memo.weights;
+  w.assign(rank_weights_.begin(),
+           rank_weights_.begin() + static_cast<std::ptrdiff_t>(pool));
   for (std::size_t pick = 0; pick < want; ++pick) {
     const std::size_t idx = rng.weighted_index(w);
     out.push_back(ranked[idx].second);

@@ -107,6 +107,13 @@ class LatencyDrivenPolicy final : public RedirectionPolicy {
   const MeasurementSystem* measurement_;
   const ReplicaHealth* health_ = nullptr;
   LatencyPolicyConfig config_;
+  /// Rotation weights (1 + rank)^-rank_exponent, one per rank a rotation
+  /// can draw from (min(rotation_pool, candidate_pool)).
+  std::vector<double> rank_weights_;
+  /// Distinguishes this policy's entries in the per-thread estimate memo;
+  /// unique per instance and never reused, so a destroyed policy's stale
+  /// entries can never match (the `LatencyOracle` pair-cache scheme).
+  std::uint64_t policy_id_;
   std::unordered_map<HostId, std::vector<ReplicaId>> candidate_cache_;
 };
 

@@ -125,6 +125,22 @@ class Rng {
 };
 
 /// Stable 64-bit hash of a string (FNV-1a), for seeding from names.
-[[nodiscard]] std::uint64_t stable_hash(std::string_view s);
+[[nodiscard]] constexpr std::uint64_t stable_hash(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// String-literal salts (`stable_hash("jitter")`) pick this overload and
+/// are hashed at compile time: the optimizer does not fold the FNV loop
+/// on its own, and hot paths (latency dynamics, CDN measurement,
+/// redirection) would otherwise re-hash their salts on every call.
+template <std::size_t N>
+[[nodiscard]] consteval std::uint64_t stable_hash(const char (&s)[N]) {
+  return stable_hash(std::string_view{s});
+}
 
 }  // namespace crp

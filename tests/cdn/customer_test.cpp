@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../test_util.hpp"
 
 namespace crp::cdn {
@@ -53,6 +55,22 @@ TEST(Customer, ServesBinarySearch) {
   }
   for (ReplicaId fallback : world.deployment.fallbacks()) {
     EXPECT_FALSE(c.serves(fallback));
+  }
+}
+
+TEST(Customer, ServesMatchesBinarySearchOverEveryId) {
+  test::MiniWorld world{18};
+  const auto n = static_cast<ReplicaId::value_type>(world.deployment.size());
+  for (const Customer& c : world.catalog.customers()) {
+    // Two ids past the deployment: out-of-range ids must answer false.
+    for (ReplicaId::value_type v = 0; v < n + 2; ++v) {
+      const ReplicaId id{v};
+      EXPECT_EQ(c.serves(id),
+                std::binary_search(c.replica_subset.begin(),
+                                   c.replica_subset.end(), id))
+          << "customer " << c.index << " replica " << v;
+    }
+    EXPECT_FALSE(c.serves(ReplicaId::invalid()));
   }
 }
 

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace crp {
@@ -230,6 +232,19 @@ TEST(StableHash, StableAndDistinguishes) {
   EXPECT_EQ(stable_hash("hello"), stable_hash("hello"));
   EXPECT_NE(stable_hash("hello"), stable_hash("hellp"));
   EXPECT_NE(stable_hash(""), stable_hash("a"));
+}
+
+// Every seed in the repository is derived through stable_hash: pin its
+// FNV-1a values at compile time, so no rewrite can silently re-seed runs.
+static_assert(stable_hash("") == 0xcbf29ce484222325ULL);
+static_assert(stable_hash("jitter") == 0x2e701e89a7ab0cd3ULL);
+
+TEST(StableHash, RuntimeStringsMatchCompileTimeLiterals) {
+  const std::string salt = "jitter";
+  EXPECT_EQ(stable_hash(salt), stable_hash("jitter"));
+  EXPECT_EQ(stable_hash(std::string_view{}), stable_hash(""));
+  const char* name = "cdn-measure";
+  EXPECT_EQ(stable_hash(name), stable_hash("cdn-measure"));
 }
 
 }  // namespace
